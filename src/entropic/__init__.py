@@ -12,7 +12,6 @@ from .signal import CanonicalSignal, Signal, canonicalize, load_csv_signal, load
 from .persistence import (
     INFINITE,
     Barcode,
-    PersistenceBar,
     barcode_bruteforce_oracle,
     barcode_to_csv,
     lower_star_barcode,

@@ -153,8 +153,14 @@ def scan_ravdess_tree(root) -> list[RecordingMeta]:
     if not root.is_dir():
         raise DatasetError(f"not a directory: {root}")
     records = []
+    seen: dict[tuple, str] = {}
     for wav in sorted(root.rglob("*.wav")):
-        records.append(replace(parse_ravdess_filename(wav.name), path=str(wav)))
+        rec = replace(parse_ravdess_filename(wav.name), path=str(wav))
+        coord = rec.coordinate()
+        if coord in seen:
+            raise DatasetError(f"duplicate recording coordinates {coord}: {seen[coord]} and {wav}")
+        seen[coord] = str(wav)
+        records.append(rec)
     if not records:
         raise DatasetError(f"no RAVDESS-named .wav files under {root}")
     return records
@@ -505,8 +511,11 @@ def read_entropy_table(path) -> EntropyMatrix:
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(audio_meta) + 2:
             raise DatasetError(f"{path}:{lineno}: expected {len(audio_meta) + 2} cells")
-        actors.append(ActorInfo(int(row[0]), row[1]))
-        values.append([float(c) if c else float("nan") for c in row[2:]])
+        try:
+            actors.append(ActorInfo(int(row[0]), row[1]))
+            values.append([float(c) if c else float("nan") for c in row[2:]])
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
     values = np.array(values, dtype=np.float64)
     row_complete = tuple(bool(np.all(np.isfinite(r))) for r in values)
     return EntropyMatrix(

@@ -22,94 +22,93 @@ INFINITE = math.inf
 _ORACLE_MAX_LEN = 4096
 
 
-@dataclass(frozen=True, order=True)
-class PersistenceBar:
-    """Interval [birth, death); death is INFINITE for the essential bar."""
-
-    birth: float
-    death: float
-
-    def __post_init__(self) -> None:
-        if self.death != INFINITE and self.death <= self.birth:
-            raise BarcodeError(f"bar death {self.death} must exceed birth {self.birth}")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.death == INFINITE
-
-
 @dataclass(frozen=True)
 class Barcode:
-    """Multiset of persistence bars plus the maximum filtration value."""
+    """Bars [births[i], deaths[i]) plus the maximum filtration value.
 
-    bars: tuple[PersistenceBar, ...]
+    ``births`` and ``deaths`` are read-only float64 arrays of equal length;
+    the essential bar's death is INFINITE.
+    """
+
+    births: np.ndarray
+    deaths: np.ndarray
     f_max: float
+
+    def __post_init__(self) -> None:
+        births = np.asarray(self.births, dtype=np.float64)
+        deaths = np.asarray(self.deaths, dtype=np.float64)
+        if births.ndim != 1 or births.shape != deaths.shape:
+            raise BarcodeError("births and deaths must be 1-D arrays of equal length")
+        bad = (deaths != INFINITE) & (deaths <= births)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise BarcodeError(f"bar death {float(deaths[i])} must exceed birth {float(births[i])}")
+        for name, arr in (("births", births), ("deaths", deaths)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def as_multiset(self) -> tuple[tuple[float, float], ...]:
         """Bars as a sorted tuple of (birth, death) pairs, for comparison."""
-        return tuple(sorted((b.birth, b.death) for b in self.bars))
+        return tuple(sorted(zip(self.births.tolist(), self.deaths.tolist())))
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-
-class _Run:
-    """A connected component of the growing sublevel graph: a run of indices."""
-
-    __slots__ = ("left", "right", "birth_idx")
-
-    def __init__(self, idx: int):
-        self.left = idx
-        self.right = idx
-        self.birth_idx = idx
+        return self.births.size
 
 
 def lower_star_barcode(c: CanonicalSignal) -> Barcode:
     """Compute the 0-dimensional barcode of the sublevel filtration.
 
     Sweeps vertices in canonical order; each new vertex either starts a run,
-    extends an adjacent run, or merges the two runs beside it. Merges apply
-    the elder rule using canonical rank, so ties in raw value are unambiguous;
-    a merge between equal raw values would yield a zero-length bar and is
-    dropped. O(n) after the sort.
+    extends an adjacent run, or merges the two runs beside it. A run is kept
+    only at its two end vertices, which point at each other and carry the
+    run's birth vertex. Merges apply the elder rule using canonical rank, so
+    ties in raw value are unambiguous; a merge between equal raw values would
+    yield a zero-length bar and is dropped. O(n): the vertex order is the
+    inverse of the tie_rank permutation.
     """
     n = len(c)
     if n == 0:
         raise BarcodeError("empty signal")
-    samples = c.samples
-    rank = c.tie_rank
-    order = np.argsort(rank)
+    samples = c.samples.tolist()
+    rank = c.tie_rank.tolist()
+    order = np.empty(n, dtype=np.intp)
+    order[c.tie_rank] = np.arange(n)
 
-    run_at: list[_Run | None] = [None] * n
-    bars: list[PersistenceBar] = []
+    # For a run end, the vertex at its other end (-1: not yet present) and
+    # the run's birth vertex. Interior entries go stale and are never read.
+    other_end = [-1] * n
+    birth_at = [0] * n
+    births: list[float] = []
+    deaths: list[float] = []
 
-    for v in map(int, order):
-        left = run_at[v - 1] if v > 0 else None
-        right = run_at[v + 1] if v < n - 1 else None
-        if left is None and right is None:
-            run_at[v] = _Run(v)
-        elif right is None:
-            left.right = v
-            run_at[v] = left
-        elif left is None:
-            right.left = v
-            run_at[v] = right
-        else:
+    for v in order.tolist():
+        has_left = v > 0 and other_end[v - 1] >= 0
+        has_right = v < n - 1 and other_end[v + 1] >= 0
+        if has_left and has_right:
             # v is a saddle: elder (lower canonical birth) survives.
-            elder, younger = (left, right) if rank[left.birth_idx] < rank[right.birth_idx] else (right, left)
-            birth = float(samples[younger.birth_idx])
-            death = float(samples[v])
-            if death > birth:  # equal raw values give a zero-length bar: drop
-                bars.append(PersistenceBar(birth, death))
-            elder.left = min(left.left, right.left)
-            elder.right = max(left.right, right.right)
-            run_at[elder.left] = elder
-            run_at[elder.right] = elder
-            run_at[v] = elder
+            lo, hi = other_end[v - 1], other_end[v + 1]
+            bl, br = birth_at[v - 1], birth_at[v + 1]
+            elder, younger = (bl, br) if rank[bl] < rank[br] else (br, bl)
+            if samples[v] > samples[younger]:  # equal raw values give a zero-length bar: drop
+                births.append(samples[younger])
+                deaths.append(samples[v])
+            other_end[lo], other_end[hi], other_end[v] = hi, lo, lo
+            birth_at[lo] = birth_at[hi] = elder
+        elif has_left:
+            lo = other_end[v - 1]
+            other_end[lo], other_end[v] = v, lo
+            birth_at[v] = birth_at[v - 1]
+        elif has_right:
+            hi = other_end[v + 1]
+            other_end[hi], other_end[v] = v, hi
+            birth_at[v] = birth_at[v + 1]
+        else:
+            other_end[v] = v
+            birth_at[v] = v
 
-    global_min = int(order[0])
-    bars.append(PersistenceBar(float(samples[global_min]), INFINITE))
-    return Barcode(bars=tuple(bars), f_max=float(samples.max()))
+    births.append(samples[int(order[0])])
+    deaths.append(INFINITE)
+    return Barcode(births=np.array(births), deaths=np.array(deaths), f_max=float(c.samples.max()))
 
 
 def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
@@ -130,7 +129,8 @@ def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
     order = np.argsort(rank)
 
     present = np.zeros(n, dtype=bool)
-    bars: list[PersistenceBar] = []
+    births: list[float] = []
+    deaths: list[float] = []
 
     for v in map(int, order):
         present[v] = True
@@ -151,10 +151,12 @@ def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
             birth = float(samples[younger])
             death = float(samples[v])
             if death > birth:
-                bars.append(PersistenceBar(birth, death))
+                births.append(birth)
+                deaths.append(death)
 
-    bars.append(PersistenceBar(float(samples[int(order[0])]), INFINITE))
-    return Barcode(bars=tuple(bars), f_max=float(samples.max()))
+    births.append(float(samples[int(order[0])]))
+    deaths.append(INFINITE)
+    return Barcode(births=np.array(births), deaths=np.array(deaths), f_max=float(samples.max()))
 
 
 def persistent_entropy(b: Barcode) -> float:
@@ -164,13 +166,9 @@ def persistent_entropy(b: Barcode) -> float:
     zero-length bars contribute nothing (0*ln 0 := 0). Returns 0 for a
     single-bar barcode.
     """
-    if len(b.bars) == 0:
+    if len(b) == 0:
         raise BarcodeError("empty barcode")
-    m = b.f_max + 1.0
-    lengths = np.array(
-        [(m if bar.death == INFINITE else bar.death) - bar.birth for bar in b.bars],
-        dtype=np.float64,
-    )
+    lengths = np.where(b.deaths == INFINITE, b.f_max + 1.0, b.deaths) - b.births
     lengths = lengths[lengths > 0.0]
     total = lengths.sum()
     if total <= 0.0:

@@ -145,20 +145,9 @@ def subsample(s: Signal, target_len: int) -> Signal:
     return Signal(samples=s.samples[idx], sample_rate=s.sample_rate, source_id=s.source_id)
 
 
-def canonicalize(s: Signal, jitter: bool = False, jitter_eps: float | None = None) -> CanonicalSignal:
-    """Assign each sample a unique rank, ordered by (value, index).
-
-    With ``jitter=True`` an explicit additive perturbation eps*(i+1)/n is
-    applied to the samples instead (eps defaults to 1e-9 of the value range),
-    for cross-checking the symbolic tie-break against a literal one.
-    """
+def canonicalize(s: Signal) -> CanonicalSignal:
+    """Assign each sample a unique rank, ordered by (value, index)."""
     samples = s.samples
-    if jitter:
-        n = samples.size
-        if jitter_eps is None:
-            span = float(samples.max() - samples.min())
-            jitter_eps = 1e-9 * (span if span > 0 else 1.0)
-        samples = samples + jitter_eps * (np.arange(n) + 1.0) / n
     order = np.argsort(samples, kind="stable")
     rank = np.empty(samples.size, dtype=np.intp)
     rank[order] = np.arange(samples.size)

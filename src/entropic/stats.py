@@ -101,16 +101,13 @@ def sex_grouped_correlation_means(
     if not np.allclose(corr, corr.T, atol=1e-9) or not np.allclose(np.diag(corr), 1.0):
         raise StatsError("expected a symmetric correlation matrix with unit diagonal")
     out: dict[tuple[str, str], float] = {}
+    sex = np.asarray(sexes)
+    off_diagonal = ~np.eye(n, dtype=bool)
     groups = sorted(set(sexes))
     for ga in groups:
         for gb in groups:
-            entries = [
-                corr[i, j]
-                for i in range(n)
-                for j in range(n)
-                if i != j and sexes[i] == ga and sexes[j] == gb
-            ]
-            out[(ga, gb)] = float(np.mean(entries)) if entries else float("nan")
+            entries = corr[np.outer(sex == ga, sex == gb) & off_diagonal]
+            out[(ga, gb)] = float(np.mean(entries)) if entries.size else float("nan")
     return out
 
 

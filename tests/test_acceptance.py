@@ -26,7 +26,6 @@ from entropic.dataset import (
 from entropic.persistence import (
     INFINITE,
     Barcode,
-    PersistenceBar,
     barcode_bruteforce_oracle,
     lower_star_barcode,
     persistent_entropy,
@@ -69,13 +68,13 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_entropy_identities():
-    single = Barcode(bars=(PersistenceBar(1.0, INFINITE),), f_max=3.0)
+    single = Barcode(births=np.array([1.0]), deaths=np.array([INFINITE]), f_max=3.0)
     assert persistent_entropy(single) == 0.0
     for n in (2, 4, 16, 256):
-        bars = tuple(PersistenceBar(float(i), float(i + 1)) for i in range(n))
-        e = persistent_entropy(Barcode(bars=bars, f_max=float(n)))
+        births = np.arange(float(n))
+        e = persistent_entropy(Barcode(births=births, deaths=births + 1.0, f_max=float(n)))
         assert abs(e - math.log(n)) <= 1e-12
-    two_bar = Barcode(bars=(PersistenceBar(0.0, INFINITE), PersistenceBar(1.0, 2.0)), f_max=2.0)
+    two_bar = Barcode(births=np.array([0.0, 1.0]), deaths=np.array([INFINITE, 2.0]), f_max=2.0)
     assert persistent_entropy(two_bar) == pytest.approx(0.5623351, abs=1e-6)
     w = signal_entropy(Signal(np.array([1.0, 5, 2, 6, 3])), 5)
     assert w == pytest.approx(1.0397208, abs=1e-6)

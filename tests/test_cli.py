@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import entropic
 from conftest import make_matrix
 from entropic.cli import main
 from entropic.dataset import entropy_table_csv
@@ -149,6 +154,29 @@ class TestStatsCommand:
 
     def test_missing_table_exit_two(self, runner, tmp_path):
         assert runner.invoke(main, ["stats", str(tmp_path / "nope.csv")]).exit_code == 2
+
+
+def corrupt_first_row(table_csv, field, text):
+    """Copy of an entropy table whose first data row has one field replaced."""
+    lines = table_csv.read_text().split("\n")
+    row = lines[1].split(",")
+    row[field] = text
+    lines[1] = ",".join(row)
+    bad = table_csv.with_name("bad.csv")
+    bad.write_text("\n".join(lines))
+    return bad
+
+
+@pytest.mark.parametrize("command", [["experiment", "2"], ["stats"]])
+@pytest.mark.parametrize("field,text", [(0, "1.5"), (5, "abc")], ids=["actor_id", "cell"])
+def test_malformed_table_is_an_error_not_a_traceback(table_csv, command, field, text):
+    bad = corrupt_first_row(table_csv, field, text)
+    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "entropic.cli", *command, str(bad)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {bad}:2: ")
+    assert "Traceback" not in proc.stderr
 
 
 class TestKernelsCommand:

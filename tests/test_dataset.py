@@ -285,6 +285,18 @@ class TestScanTree:
         assert records[0].emotion == "happy"
         assert records[0].path.endswith("03-01-03-01-01-01-01.wav")
 
+    def test_duplicate_coordinates_name_both_paths(self, tmp_path):
+        from scipy.io import wavfile
+
+        paths = []
+        for folder in ("Actor_01", "copy"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "03-01-01-01-01-01-01.wav")
+            wavfile.write(paths[-1], 8000, np.array([0, 100, -100, 50], dtype=np.int16))
+        with pytest.raises(DatasetError, match="duplicate") as err:
+            scan_ravdess_tree(tmp_path)
+        assert all(str(p) in str(err.value) for p in paths)
+
     def test_empty_tree_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             scan_ravdess_tree(tmp_path)

@@ -7,7 +7,6 @@ from entropic.errors import BarcodeError
 from entropic.persistence import (
     INFINITE,
     Barcode,
-    PersistenceBar,
     barcode_bruteforce_oracle,
     barcode_to_csv,
     lower_star_barcode,
@@ -28,6 +27,24 @@ def count_local_minima(rank):
         for i in range(n)
         if (i == 0 or rank[i] < rank[i - 1]) and (i == n - 1 or rank[i] < rank[i + 1])
     )
+
+
+class TestBarcode:
+    def test_arrays_are_read_only_float64(self):
+        b = Barcode(births=[0, 1], deaths=[INFINITE, 2], f_max=2.0)
+        assert b.births.dtype == b.deaths.dtype == np.float64
+        assert len(b) == 2
+        with pytest.raises(ValueError):
+            b.births[0] = 5.0
+
+    @pytest.mark.parametrize("deaths", [[INFINITE, 1.0], [INFINITE, 0.5]])
+    def test_finite_death_must_exceed_birth(self, deaths):
+        with pytest.raises(BarcodeError, match="must exceed birth 1.0"):
+            Barcode(births=[0.0, 1.0], deaths=deaths, f_max=2.0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(BarcodeError):
+            Barcode(births=[0.0, 1.0], deaths=[INFINITE], f_max=2.0)
 
 
 class TestLowerStarBarcode:
@@ -75,7 +92,8 @@ class TestLowerStarBarcode:
                 assert len(b) == minima
             else:
                 assert len(b) <= minima
-            assert sum(bar.is_infinite for bar in b.bars) == 1
+            assert int(np.sum(b.deaths == INFINITE)) == 1
+            assert b.deaths[-1] == INFINITE  # essential bar last, as summed by the entropy
 
     def test_births_are_minima_deaths_are_maxima(self):
         rng = np.random.default_rng(6)
@@ -93,10 +111,11 @@ class TestLowerStarBarcode:
             for i in range(n)
             if (i == 0 or rank[i] > rank[i - 1]) and (i == n - 1 or rank[i] > rank[i + 1])
         }
-        for bar in lower_star_barcode(c).bars:
-            assert bar.birth in minima
-            if not bar.is_infinite:
-                assert bar.death in maxima
+        b = lower_star_barcode(c)
+        for birth, death in zip(b.births, b.deaths):
+            assert birth in minima
+            if death != INFINITE:
+                assert death in maxima
 
 
 class TestOracle:
@@ -124,16 +143,15 @@ class TestOracle:
 
 class TestPersistentEntropy:
     def test_single_bar_is_zero(self):
-        b = Barcode(bars=(PersistenceBar(1.0, INFINITE),), f_max=3.0)
+        b = Barcode(births=np.array([1.0]), deaths=np.array([INFINITE]), f_max=3.0)
         assert persistent_entropy(b) == 0.0
 
     def test_equal_bars_hit_log_n(self):
-        bars = tuple(PersistenceBar(float(i), float(i + 1)) for i in range(4))
-        b = Barcode(bars=bars, f_max=4.0)
+        b = Barcode(births=np.arange(4.0), deaths=np.arange(4.0) + 1.0, f_max=4.0)
         assert persistent_entropy(b) == pytest.approx(math.log(4), abs=1e-12)
 
     def test_worked_example(self):
-        b = Barcode(bars=(PersistenceBar(0.0, INFINITE), PersistenceBar(1.0, 2.0)), f_max=2.0)
+        b = Barcode(births=np.array([0.0, 1.0]), deaths=np.array([INFINITE, 2.0]), f_max=2.0)
         assert persistent_entropy(b) == pytest.approx(0.5623351, abs=1e-6)
 
     def test_entropy_bounded_by_log_bar_count(self):
@@ -153,12 +171,8 @@ class TestPersistentEntropy:
         a, shift = 3.7, -2.0
 
         def entropy_closed(barcode, closing_gap):
-            lengths = np.array(
-                [
-                    (barcode.f_max + closing_gap if bar.is_infinite else bar.death) - bar.birth
-                    for bar in barcode.bars
-                ]
-            )
+            closed = np.where(barcode.deaths == INFINITE, barcode.f_max + closing_gap, barcode.deaths)
+            lengths = closed - barcode.births
             p = lengths / lengths.sum()
             return float(-(p * np.log(p)).sum())
 
@@ -168,7 +182,7 @@ class TestPersistentEntropy:
 
     def test_empty_barcode_rejected(self):
         with pytest.raises(BarcodeError):
-            persistent_entropy(Barcode(bars=(), f_max=0.0))
+            persistent_entropy(Barcode(births=np.array([]), deaths=np.array([]), f_max=0.0))
 
 
 class TestSignalEntropy:

@@ -164,6 +164,10 @@ class TestCanonicalize:
         vals = rng.integers(0, 4, size=60).astype(float)
         s = Signal(vals)
         symbolic = canonicalize(s)
-        jittered = canonicalize(s, jitter=True)
+        # A literal perturbation eps*(i+1)/n, far below the value spacing,
+        # must give the same order as the symbolic (value, index) tie-break.
+        n = vals.size
+        eps = 1e-9 * float(vals.max() - vals.min())
+        jittered = canonicalize(Signal(vals + eps * (np.arange(n) + 1.0) / n))
         assert np.array_equal(symbolic.tie_rank, jittered.tie_rank)
         assert not np.array_equal(jittered.samples, s.samples)
