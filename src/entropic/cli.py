@@ -1,8 +1,10 @@
 """Batch command-line surface.
 
 Subcommands: entropy, barcode, experiment, stats, kernels. Option precedence
-is built-in defaults < --config JSON file < explicit flags; environment
-variables prefixed ENTROPIC_ override defaults too (click auto-envvar).
+is built-in defaults < --config JSON file < explicit flags. An environment
+variable ENTROPIC_<COMMAND>_<OPTION> sets a flag of one subcommand, e.g.
+ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy --target-len 3` (click
+auto-envvar); a bare ENTROPIC_TARGET_LEN is ignored.
 The effective configuration is echoed into every primary output.
 
 Exit codes: 0 success, 1 partial per-file failure, 2 invalid invocation.
@@ -36,6 +38,21 @@ DEFAULTS = {
     "offset": 1.0,
     "jobs": 1,
 }
+_INT_KEYS = ("target_len", "seed", "k", "degree", "jobs")
+_NULLABLE_KEYS = ("kernel", "sigma")
+
+
+def _config_value_ok(key: str, value) -> bool:
+    """Whether a --config value has the type its flag would give it."""
+    if value is None:
+        return key in _NULLABLE_KEYS
+    if isinstance(value, bool):
+        return False
+    if key == "kernel":
+        return isinstance(value, str)
+    if key in _INT_KEYS:
+        return isinstance(value, int)
+    return isinstance(value, (int, float))
 
 
 def _effective_config(config_path: str | None, flags: dict) -> dict:
@@ -46,9 +63,14 @@ def _effective_config(config_path: str | None, flags: dict) -> dict:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise click.UsageError(f"cannot read config file {config_path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise click.UsageError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            if not _config_value_ok(key, value):
+                raise click.UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         cfg.update(file_cfg)
     cfg.update({k: v for k, v in flags.items() if v is not None})
     return cfg

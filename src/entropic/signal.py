@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import SignalError
 
@@ -75,6 +74,10 @@ def _normalize_int(frames: np.ndarray, max_magnitude: float) -> np.ndarray:
 
 def load_wav(path) -> Signal:
     """Load a PCM or IEEE-float WAV file as a mono Signal in [-1, 1]."""
+    # Imported here: scipy.io pulls in scipy.sparse and the MATLAB readers,
+    # about 0.25 s that commands reading no WAV should not pay.
+    from scipy.io import wavfile
+
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -121,6 +121,12 @@ class SvmModel:
     bias: float
     kernel: KernelSpec
     class_pair: tuple
+    # Training record, not saved by to_json: pair updates made, the final
+    # KKT gap (max over 'up' minus min over 'low' of y - f) and whether it
+    # reached tol. A model built any other way carries the defaults.
+    iterations: int = 0
+    kkt_gap: float = math.nan
+    converged: bool = False
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -187,7 +193,10 @@ def train_binary(
 
     The first class in sorted label order maps to -1, the second to +1. The
     bias is the mean of y - f over free support vectors (0 < a < C), or the
-    midpoint of the KKT interval when none are free.
+    midpoint of the KKT interval when none are free. Training stops when the
+    KKT gap falls to tol, after max_iter pair updates, or when the maximal
+    violating pair cannot move; the model records the updates made, the
+    final gap and whether it is within tol (``converged``).
     """
     if C <= 0:
         raise TrainingError("C must be positive")
@@ -204,49 +213,63 @@ def train_binary(
     if max_iter is None:
         max_iter = min(10 * n * n, 200_000)
     K = kernel_matrix(kernel, X, X)
+    K_cols = np.ascontiguousarray(K.T)  # K_cols[i] is K[:, i], read without a stride
+    K_diag = K.diagonal().tolist()
 
-    alpha = np.zeros(n)
+    # On problems of tens of points a NumPy call costs more than the
+    # arithmetic it does, so the per-pair scalars are Python floats.
+    ys = y.tolist()
+    a = [0.0] * n
     f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
     eps = 1e-12 * C
-
-    up = np.empty(n, dtype=bool)
-    low = np.empty(n, dtype=bool)
+    upper = C - eps
+    # up_y[i] is y_i if alpha_i may move so that y_i alpha_i grows (the 'up'
+    # set), else -inf; low_y likewise for 'low' with +inf. So up_y - f is
+    # y - f masked for the argmax without a np.where. All alpha start at 0.
+    up_y = np.where(y > 0, y, -np.inf)
+    low_y = np.where(y < 0, y, np.inf)
     gap_lo = -math.inf
     gap_hi = math.inf
+    iterations = 0
     for _ in range(max_iter):
-        np.logical_or((y > 0) & (alpha < C - eps), (y < 0) & (alpha > eps), out=up)
-        np.logical_or((y > 0) & (alpha > eps), (y < 0) & (alpha < C - eps), out=low)
-        viol = y - f  # -y_i * gradient_i
-        up_vals = np.where(up, viol, -np.inf)
-        low_vals = np.where(low, viol, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        gap_lo, gap_hi = low_vals[j], up_vals[i]
+        up_vals = up_y - f  # y - f = -y * gradient, on 'up'
+        low_vals = low_y - f
+        i = int(up_vals.argmax())
+        j = int(low_vals.argmin())
+        gap_lo, gap_hi = low_vals.item(j), up_vals.item(i)
         if gap_hi - gap_lo <= tol:
             break
 
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        ai, aj, yi, yj = a[i], a[j], ys[i], ys[j]
+        eta = K_diag[i] + K_diag[j] - 2.0 * K.item(i, j)
         if eta <= 0:
             eta = 1e-12
         # Errors relative to targets; the bias cancels in the difference.
-        e_diff = (f[i] - y[i]) - (f[j] - y[j])
-        if y[i] != y[j]:
-            lo_b = max(0.0, alpha[j] - alpha[i])
-            hi_b = min(C, C + alpha[j] - alpha[i])
+        e_diff = (f.item(i) - yi) - (f.item(j) - yj)
+        if yi != yj:
+            lo_b = max(0.0, aj - ai)
+            hi_b = min(C, C + aj - ai)
         else:
-            lo_b = max(0.0, alpha[i] + alpha[j] - C)
-            hi_b = min(C, alpha[i] + alpha[j])
-        aj_new = np.clip(alpha[j] + y[j] * e_diff / eta, lo_b, hi_b)
-        dj = aj_new - alpha[j]
+            lo_b = max(0.0, ai + aj - C)
+            hi_b = min(C, ai + aj)
+        aj_new = min(max(aj + yj * e_diff / eta, lo_b), hi_b)
+        dj = aj_new - aj
         if dj == 0.0:
             break  # numerically stuck on the most violating pair
-        ai_new = alpha[i] + y[i] * y[j] * (alpha[j] - aj_new)
-        di = ai_new - alpha[i]
-        alpha[i] = ai_new
-        alpha[j] = aj_new
-        f += (di * y[i]) * K[:, i] + (dj * y[j]) * K[:, j]
+        ai_new = ai + yi * yj * (aj - aj_new)
+        di = ai_new - ai
+        a[i] = ai_new
+        a[j] = aj_new
+        f += (di * yi) * K_cols[i] + (dj * yj) * K_cols[j]
+        for k, ak in ((i, ai_new), (j, aj_new)):
+            yk = ys[k]
+            up_y[k] = yk if (ak < upper if yk > 0 else ak > eps) else -math.inf
+            low_y[k] = yk if (ak > eps if yk > 0 else ak < upper) else math.inf
+        iterations += 1
 
-    free = (alpha > eps) & (alpha < C - eps)
+    alpha = np.array(a)
+    kkt_gap = float((up_y - f).max() - (low_y - f).min())
+    free = (alpha > eps) & (alpha < upper)
     if np.any(free):
         bias = float(np.mean(y[free] - f[free]))
     elif math.isfinite(gap_lo) and math.isfinite(gap_hi):
@@ -261,6 +284,9 @@ def train_binary(
         bias=bias,
         kernel=kernel,
         class_pair=(neg, pos),
+        iterations=iterations,
+        kkt_gap=kkt_gap,
+        converged=kkt_gap <= tol,
     )
 
 

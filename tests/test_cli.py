@@ -74,6 +74,23 @@ class TestEntropyCommand:
         cfg.write_text(json.dumps({"bogus": 1}))
         assert runner.invoke(main, ["entropy", str(sig_csv), "--config", str(cfg)]).exit_code == 2
 
+    @pytest.mark.parametrize("value", ["abc", 3.5, True])
+    def test_wrong_config_type_exit_two(self, runner, sig_csv, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target_len": value}))
+        result = runner.invoke(main, ["entropy", str(sig_csv), "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "'target_len' has a value of the wrong type" in result.output
+
+    def test_env_var_names_the_command(self, sig_csv):
+        def subsampled_to(env):
+            result = CliRunner(env=env).invoke(main, ["entropy", str(sig_csv)])
+            assert result.exit_code == 0, result.output
+            return result.output.strip().split("\n")[1].split(",")[2]
+
+        assert subsampled_to({"ENTROPIC_TARGET_LEN": "3"}) == "5"  # no command: ignored
+        assert subsampled_to({"ENTROPIC_ENTROPY_TARGET_LEN": "3"}) == "3"
+
     def test_out_dir(self, runner, sig_csv, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(main, ["entropy", str(sig_csv), "--out-dir", str(out)])
@@ -189,3 +206,12 @@ class TestKernelsCommand:
         doc = json.loads((out / "kernels.json").read_text())
         assert doc["best"]["mean_accuracy"] > 0.5
         assert len(doc["table"]) == 8 * 4  # 8 kernels x 4 C values
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.io costs about 0.25 s per process; only WAV decoding needs it.
+    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
+    code = "import sys, entropic.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

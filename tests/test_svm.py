@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,12 @@ from entropic.svm import (
     KernelSpec,
     LabeledPoint,
     SvmModel,
+    _sorted_classes,
+    _stack,
     accuracy,
     decision_value,
     kernel_eval,
+    kernel_matrix,
     kfold_cross_validate,
     select_best_kernel,
     train_binary,
@@ -119,6 +125,133 @@ class TestTrainBinary:
             perm = np.random.default_rng(seed).permutation(len(data))
             shuffled = [data[i] for i in perm]
             assert train_binary(shuffled, KernelSpec("linear"), C=10.0).predict(test) == base
+
+
+    def test_separable_blobs_converge(self):
+        X, labels = make_blobs(seed=0)
+        m = train_binary(points_from(X, labels), KernelSpec("linear"), C=10.0, tol=1e-3)
+        assert m.converged
+        assert m.kkt_gap <= 1e-3
+        assert m.iterations > 0
+
+    def test_iteration_cap_is_reported(self):
+        X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))  # overlapping
+        m = train_binary(points_from(X, labels), KernelSpec("linear"), C=10.0, max_iter=1)
+        assert m.iterations == 1
+        assert m.converged is False
+        assert m.kkt_gap > 1e-3
+
+
+def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmModel:
+    """The SMO loop as it was before its per-iteration cost was cut, kept verbatim.
+
+    Every step is a NumPy call: the masks are rebuilt from alpha, and the
+    scalars are NumPy scalars. train_binary must return bit-identical models.
+    """
+    X, labels = _stack(data)
+    classes = _sorted_classes(labels)
+    neg, pos = classes
+    y = np.array([-1.0 if lab == neg else 1.0 for lab in labels])
+
+    n = len(y)
+    if max_iter is None:
+        max_iter = min(10 * n * n, 200_000)
+    K = kernel_matrix(kernel, X, X)
+
+    alpha = np.zeros(n)
+    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
+    eps = 1e-12 * C
+
+    up = np.empty(n, dtype=bool)
+    low = np.empty(n, dtype=bool)
+    gap_lo = -math.inf
+    gap_hi = math.inf
+    for _ in range(max_iter):
+        np.logical_or((y > 0) & (alpha < C - eps), (y < 0) & (alpha > eps), out=up)
+        np.logical_or((y > 0) & (alpha > eps), (y < 0) & (alpha < C - eps), out=low)
+        viol = y - f  # -y_i * gradient_i
+        up_vals = np.where(up, viol, -np.inf)
+        low_vals = np.where(low, viol, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        gap_lo, gap_hi = low_vals[j], up_vals[i]
+        if gap_hi - gap_lo <= tol:
+            break
+
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if eta <= 0:
+            eta = 1e-12
+        # Errors relative to targets; the bias cancels in the difference.
+        e_diff = (f[i] - y[i]) - (f[j] - y[j])
+        if y[i] != y[j]:
+            lo_b = max(0.0, alpha[j] - alpha[i])
+            hi_b = min(C, C + alpha[j] - alpha[i])
+        else:
+            lo_b = max(0.0, alpha[i] + alpha[j] - C)
+            hi_b = min(C, alpha[i] + alpha[j])
+        aj_new = np.clip(alpha[j] + y[j] * e_diff / eta, lo_b, hi_b)
+        dj = aj_new - alpha[j]
+        if dj == 0.0:
+            break  # numerically stuck on the most violating pair
+        ai_new = alpha[i] + y[i] * y[j] * (alpha[j] - aj_new)
+        di = ai_new - alpha[i]
+        alpha[i] = ai_new
+        alpha[j] = aj_new
+        f += (di * y[i]) * K[:, i] + (dj * y[j]) * K[:, j]
+
+    free = (alpha > eps) & (alpha < C - eps)
+    if np.any(free):
+        bias = float(np.mean(y[free] - f[free]))
+    elif math.isfinite(gap_lo) and math.isfinite(gap_hi):
+        bias = float((gap_lo + gap_hi) / 2.0)
+    else:
+        bias = 0.0
+
+    keep = alpha > 0.0
+    return SvmModel(
+        support_vectors=X[keep],
+        alpha=alpha[keep] * y[keep],
+        bias=bias,
+        kernel=kernel,
+        class_pair=(neg, pos),
+    )
+
+
+def bit_identity_cases():
+    """About 40 seeded problems: every kernel family and C, plus hard corners."""
+    kernels = [KernelSpec("linear"), KernelSpec("polynomial", degree=2, offset=1.0),
+               KernelSpec("polynomial", degree=3, offset=0.0), KernelSpec("gaussian", sigma=0.7)]
+    cases = []
+    for seed in range(32):
+        rng = np.random.default_rng([seed, 17])
+        n = int(rng.integers(6, 15))
+        X = rng.normal(size=(n, int(rng.integers(1, 4))))
+        labels = ["A", "B"] + ["A" if v < 0.5 else "B" for v in rng.uniform(size=n - 2)]
+        X[labels.index("B") if seed % 2 else 0] += 1.0
+        C = (0.1, 1.0, 100.0, 1000.0)[seed % 4]
+        cases.append((f"random{seed}", points_from(X, labels), kernels[seed // 8], C, None))
+    x = np.random.default_rng(5).normal(size=14)
+    one_d = points_from(x[:, None] + np.repeat([0.0, 0.5], 7)[:, None], ["A"] * 7 + ["B"] * 7)
+    cases.append(("1d_overlap_high_C", one_d, KernelSpec("linear"), 1000.0, None))
+    cases.append(("1d_overlap_gaussian", one_d, KernelSpec("gaussian", sigma=0.3), 100.0, None))
+    X, labels = make_blobs(seed=14, n_per_class=6, centers=((0.0, 0.0), (0.8, 0.8)))
+    X[6:9] = X[0]  # the same point under both labels
+    X[3] = X[2]
+    cases.append(("duplicates", points_from(X, labels), KernelSpec("linear"), 10.0, None))
+    X, labels = make_blobs(seed=15, n_per_class=8, centers=((0.0, 0.0), (0.5, 0.5)))
+    for cap in (0, 1, 5, 40):
+        cases.append((f"max_iter{cap}", points_from(X, labels), KernelSpec("gaussian", sigma=1.0),
+                      100.0, cap))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("data,kernel,C,max_iter", bit_identity_cases())
+def test_train_binary_is_bit_identical_to_reference(data, kernel, C, max_iter):
+    got = train_binary(data, kernel, C=C, max_iter=max_iter)
+    want = reference_train_binary(data, kernel, C=C, max_iter=max_iter)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert got.bias == want.bias
 
 
 class TestDecisionValue:
@@ -278,6 +411,8 @@ class TestModelSerialization:
     def test_round_trip_decision_values(self):
         X, labels = make_blobs(seed=13)
         m = train_binary(points_from(X, labels), KernelSpec("gaussian", sigma=1.7), C=3.0)
+        assert set(json.loads(m.to_json())) == {
+            "version", "kernel", "support_vectors", "alpha", "bias", "class_pair"}
         restored = SvmModel.from_json(m.to_json())
         test = np.random.default_rng(3).normal(2.0, 3.0, (40, 2))
         assert np.allclose(m.decision_values(test), restored.decision_values(test), atol=1e-12)
