@@ -166,9 +166,13 @@ def scan_ravdess_tree(root) -> list[RecordingMeta]:
     return records
 
 
-def _entropy_of_file(path: str, target_len: int) -> float:
-    signal = load_csv_signal(path) if path.endswith(".csv") else load_wav(path)
-    return signal_entropy(signal, target_len)
+def _entropy_of_file(path: str, target_len: int) -> tuple[bool, float | str]:
+    """(True, entropy) for one recording, or (False, the reason it failed)."""
+    try:
+        signal = load_csv_signal(path) if path.endswith(".csv") else load_wav(path)
+        return True, signal_entropy(signal, target_len)
+    except Exception as exc:  # one bad file must not stop the run
+        return False, str(exc)
 
 
 @dataclass(frozen=True)
@@ -198,27 +202,26 @@ def build_entropy_table(
     values = np.full((len(actor_ids), len(columns)), np.nan)
     failures: list[tuple[str, str]] = []
 
-    def place(rec: RecordingMeta, entropy: float) -> None:
-        col = _COLUMN_INDEX[AudioInfo(rec.emotion, rec.intensity, rec.statement, rec.repetition)]
-        values[actor_row[rec.actor_id], col] = entropy
-
+    paths = [r.path for r in records]
+    lengths = [target_len] * len(records)
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                pool.submit(_entropy_of_file, r.path, target_len): r for r in records
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                rec = futures[fut]
-                try:
-                    place(rec, fut.result())
-                except Exception as exc:
-                    failures.append((rec.path, str(exc)))
+        # A few chunks per worker, not one task per file: each task is a
+        # round trip through the pool's queues.
+        chunksize = -(-len(records) // (4 * jobs))
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(_entropy_of_file, paths, lengths, chunksize=chunksize))
+        except concurrent.futures.BrokenExecutor as exc:
+            raise DatasetError(f"a worker process died: {exc}")
     else:
-        for rec in records:
-            try:
-                place(rec, _entropy_of_file(rec.path, target_len))
-            except Exception as exc:
-                failures.append((rec.path, str(exc)))
+        outcomes = map(_entropy_of_file, paths, lengths)
+
+    for rec, (ok, outcome) in zip(records, outcomes):
+        if ok:
+            col = _COLUMN_INDEX[AudioInfo(rec.emotion, rec.intensity, rec.statement, rec.repetition)]
+            values[actor_row[rec.actor_id], col] = outcome
+        else:
+            failures.append((rec.path, outcome))
 
     row_complete = tuple(bool(np.all(np.isfinite(values[i]))) for i in range(len(actor_ids)))
     matrix = EntropyMatrix(

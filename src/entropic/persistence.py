@@ -5,6 +5,14 @@ vertices enter at their height, each edge enters with its higher endpoint.
 Components are born at local minima; when two components meet at a local
 maximum the one with the older (lower) birth survives and the younger dies
 (elder rule). Exactly one bar never dies; it is born at the global minimum.
+
+The pairing needs no sweep (Edelsbrunner & Harer, Computational Topology,
+2010): a local maximum joins the two components that reach out to the
+nearest higher maximum on each side, and each component is born at its
+lowest minimum. Both are range queries on sparse tables (Bender &
+Farach-Colton, LATIN 2000), answered for all maxima at once in O(log n)
+NumPy passes; the brute-force oracle below re-scans instead and shares none
+of this.
 """
 
 from __future__ import annotations
@@ -55,60 +63,80 @@ class Barcode:
         return self.births.size
 
 
+def _sparse_table(values: np.ndarray, reduce: np.ufunc) -> np.ndarray:
+    """table[l, i] = reduce(values[i : i + 2**l]) for every 2**l <= values.size.
+
+    Row l is set only up to index values.size - 2**l; the rest is never read.
+    """
+    size = values.size
+    table = np.empty((size.bit_length(), size), dtype=values.dtype)
+    table[0] = values
+    for level in range(1, table.shape[0]):
+        half = 1 << (level - 1)
+        count = size - 2 * half + 1
+        reduce(table[level - 1, :count], table[level - 1, half:half + count], out=table[level, :count])
+    return table
+
+
 def lower_star_barcode(c: CanonicalSignal) -> Barcode:
     """Compute the 0-dimensional barcode of the sublevel filtration.
 
-    Sweeps vertices in canonical order; each new vertex either starts a run,
-    extends an adjacent run, or merges the two runs beside it. A run is kept
-    only at its two end vertices, which point at each other and carry the
-    run's birth vertex. Merges apply the elder rule using canonical rank, so
-    ties in raw value are unambiguous; a merge between equal raw values would
-    yield a zero-length bar and is dropped. O(n): the vertex order is the
-    inverse of the tie_rank permutation.
+    Works on canonical ranks, so ties in raw value are unambiguous. Local
+    minima and interior local maxima alternate along the signal: minima
+    mu_0..mu_m and saddles s_0..s_{m-1}, with s_k between mu_k and mu_{k+1}.
+    When s_k enters, the component on each side reaches out to the nearest
+    saddle of higher rank; binary lifting on a sparse max-table of saddle
+    ranks finds both for all saddles at once. Each component's birth is the
+    lowest-rank minimum in its range, one sparse min-table query. The younger
+    birth dies at the saddle (elder rule); a merge between equal raw values
+    would yield a zero-length bar and is dropped. Bars come in ascending
+    saddle rank with the essential bar last, the order of a sweep over the
+    vertices. With m <= n/2 saddles the work is O(n + m log m): each table
+    takes about log2(m) array passes to build and the lifting as many again.
+    The only loops run once per table level.
     """
     n = len(c)
     if n == 0:
         raise BarcodeError("empty signal")
-    samples = c.samples.tolist()
-    rank = c.tie_rank.tolist()
-    order = np.empty(n, dtype=np.intp)
-    order[c.tie_rank] = np.arange(n)
+    rank = c.tie_rank
+    by_rank = np.empty(n)
+    by_rank[rank] = c.samples
+    padded = np.concatenate(([n], rank, [n]))  # ends border on higher ground
+    left_higher = padded[:-2] > rank
+    right_higher = padded[2:] > rank
+    saddles = np.flatnonzero(~(left_higher | right_higher))
+    top = rank[saddles]
+    m = top.size
+    # Saddle k sits at index k + 1 of the barrier array, between two
+    # sentinels that no rank reaches. lo/hi grow over the saddles lower
+    # than it: a window is taken when its maximum is below top[k]. A
+    # window index clipped to either end of its row names a window that
+    # holds a sentinel, so it is refused.
+    tops = _sparse_table(np.concatenate(([n], top, [n])), np.maximum)
+    lo = np.arange(1, m + 1)
+    hi = lo.copy()
+    for level in range(tops.shape[0] - 1, -1, -1):
+        width = 1 << level
+        row = tops[level, :m + 3 - width]
+        lo -= (row.take(lo - width, mode="clip") < top) * width
+        hi += (row.take(hi + 1, mode="clip") < top) * width
+    # The left component holds minima lo-1..k, the right one k+1..hi.
+    bottoms = _sparse_table(rank[left_higher & right_higher], np.minimum).ravel()
 
-    # For a run end, the vertex at its other end (-1: not yet present) and
-    # the run's birth vertex. Interior entries go stale and are never read.
-    other_end = [-1] * n
-    birth_at = [0] * n
-    births: list[float] = []
-    deaths: list[float] = []
+    def lowest(first: np.ndarray, last: np.ndarray) -> np.ndarray:
+        level = np.frexp(last - first + 1)[1].astype(np.intp) - 1  # floor(log2(length)), exact
+        row = level * (m + 1)
+        return np.minimum(bottoms[row + first], bottoms[row + last + 1 - (1 << level)])
 
-    for v in order.tolist():
-        has_left = v > 0 and other_end[v - 1] >= 0
-        has_right = v < n - 1 and other_end[v + 1] >= 0
-        if has_left and has_right:
-            # v is a saddle: elder (lower canonical birth) survives.
-            lo, hi = other_end[v - 1], other_end[v + 1]
-            bl, br = birth_at[v - 1], birth_at[v + 1]
-            elder, younger = (bl, br) if rank[bl] < rank[br] else (br, bl)
-            if samples[v] > samples[younger]:  # equal raw values give a zero-length bar: drop
-                births.append(samples[younger])
-                deaths.append(samples[v])
-            other_end[lo], other_end[hi], other_end[v] = hi, lo, lo
-            birth_at[lo] = birth_at[hi] = elder
-        elif has_left:
-            lo = other_end[v - 1]
-            other_end[lo], other_end[v] = v, lo
-            birth_at[v] = birth_at[v - 1]
-        elif has_right:
-            hi = other_end[v + 1]
-            other_end[hi], other_end[v] = v, hi
-            birth_at[v] = birth_at[v + 1]
-        else:
-            other_end[v] = v
-            birth_at[v] = v
-
-    births.append(samples[int(order[0])])
-    deaths.append(INFINITE)
-    return Barcode(births=np.array(births), deaths=np.array(deaths), f_max=float(c.samples.max()))
+    k = np.arange(m)
+    younger = np.maximum(lowest(lo - 1, k), lowest(k + 1, hi))
+    by_saddle = np.argsort(top)
+    births = by_rank[younger[by_saddle]]
+    deaths = c.samples[saddles[by_saddle]]
+    keep = deaths > births  # equal raw values give a zero-length bar: drop
+    births, deaths = births[keep], deaths[keep]
+    return Barcode(births=np.append(births, by_rank[0]), deaths=np.append(deaths, INFINITE),
+                   f_max=float(c.samples.max()))
 
 
 def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
@@ -117,7 +145,7 @@ def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
     At every threshold step the present-vertex mask is re-scanned from
     scratch: the runs adjacent to the new vertex are recovered by walking the
     mask, and each run's birth vertex is recomputed as its canonical minimum.
-    Independent of the union/run bookkeeping of the fast path.
+    Independent of the range queries of the fast path.
     """
     n = len(c)
     if n == 0:

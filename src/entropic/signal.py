@@ -66,10 +66,13 @@ class CanonicalSignal:
 def _normalize_int(frames: np.ndarray, max_magnitude: float) -> np.ndarray:
     # Multi-channel input is averaged per frame before renormalizing, so a
     # stereo frame (1000, 3000) at 16 bit becomes 2000/32768.
+    # Divided in place: a second full-length temporary per file costs page
+    # faults whenever the allocator hands its memory back between files.
     frames = frames.astype(np.float64)
     if frames.ndim == 2:
         frames = frames.mean(axis=1)
-    return frames / max_magnitude
+    frames /= max_magnitude
+    return frames
 
 
 def load_wav(path) -> Signal:
@@ -149,9 +152,21 @@ def subsample(s: Signal, target_len: int) -> Signal:
 
 
 def canonicalize(s: Signal) -> CanonicalSignal:
-    """Assign each sample a unique rank, ordered by (value, index)."""
+    """Assign each sample a unique rank, ordered by (value, index).
+
+    The first quicksort groups equal values (in no particular order within
+    a group) and numbers the groups densely; the second sorts the distinct
+    keys dense * n + index, whose order is the (value, index) order. Two
+    SIMD quicksorts take less than half the time of one stable sort.
+    """
     samples = s.samples
-    order = np.argsort(samples, kind="stable")
-    rank = np.empty(samples.size, dtype=np.intp)
-    rank[order] = np.arange(samples.size)
+    n = samples.size
+    order = samples.argsort()
+    ascending = samples[order]
+    dense = np.zeros(n, dtype=np.intp)
+    np.cumsum(ascending[1:] != ascending[:-1], out=dense[1:])
+    keys = dense * n + order
+    keys.sort()
+    rank = np.empty(n, dtype=np.intp)
+    rank[keys % n] = np.arange(n)
     return CanonicalSignal(samples=samples, tie_rank=rank)

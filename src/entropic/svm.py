@@ -45,8 +45,8 @@ class KernelSpec:
             raise TrainingError(f"unknown kernel family: {self.family!r}")
         if self.family == "polynomial" and self.degree < 1:
             raise TrainingError("polynomial degree must be >= 1")
-        if self.family == "gaussian" and self.sigma <= 0:
-            raise TrainingError("gaussian sigma must be positive")
+        if self.family == "gaussian" and not 0 < self.sigma < math.inf:
+            raise TrainingError(f"gaussian sigma must be positive and finite, got {self.sigma}")
         if self.scale <= 0:
             raise TrainingError("kernel scale must be positive")
 
@@ -198,10 +198,10 @@ def train_binary(
     violating pair cannot move; the model records the updates made, the
     final gap and whether it is within tol (``converged``).
     """
-    if C <= 0:
-        raise TrainingError("C must be positive")
-    if tol <= 0:
-        raise TrainingError("tol must be positive")
+    if not 0 < C < math.inf:
+        raise TrainingError(f"C must be positive and finite, got {C}")
+    if not 0 < tol < math.inf:
+        raise TrainingError(f"tol must be positive and finite, got {tol}")
     X, labels = _stack(data)
     classes = _sorted_classes(labels)
     if len(classes) != 2:
@@ -213,6 +213,8 @@ def train_binary(
     if max_iter is None:
         max_iter = min(10 * n * n, 200_000)
     K = kernel_matrix(kernel, X, X)
+    if not np.isfinite(K).all():
+        raise TrainingError(f"{kernel.describe()} kernel matrix is not finite on these features")
     K_cols = np.ascontiguousarray(K.T)  # K_cols[i] is K[:, i], read without a stride
     K_diag = K.diagonal().tolist()
 

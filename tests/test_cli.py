@@ -142,6 +142,24 @@ class TestExperimentCommand:
         result = runner.invoke(main, ["experiment", "1", str(tmp_path / "nope.xyz")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("config,flags", [
+        ('{"C": NaN}', []),
+        ('{"C": Infinity}', []),
+        (None, ["--C", "nan"]),
+        ('{"tol": NaN}', []),
+        (None, ["--kernel", "gaussian", "--sigma", "inf"]),
+    ])
+    def test_non_finite_parameter_is_an_error(self, runner, table_csv, tmp_path, config, flags):
+        args = ["experiment", "2", str(table_csv), "--out-dir", str(tmp_path / "out")] + flags
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            args += ["--config", str(tmp_path / "cfg.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "error:" in result.output and "finite" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestStatsCommand:
     def test_block_constant_sex_means(self, runner, tmp_path):

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from conftest import make_matrix
+from entropic import dataset
 from entropic.errors import DatasetError
 from entropic.dataset import (
     EMOTIONS,
@@ -106,6 +108,10 @@ class TestAudioColumns:
             assert sum(1 for c in cols if c.emotion == emotion) == 8
 
 
+def _exit_worker(path, target_len):
+    os._exit(3)
+
+
 def write_corpus(tmp_path, actors, samples_by_emotion=None):
     """Synthetic CSV-signal corpus covering the full 60-column layout."""
     records = []
@@ -164,10 +170,22 @@ class TestBuildEntropyTable:
         assert missing_cells(result.matrix) == [(1, "neutral-normal-1-1")]
 
     def test_parallel_matches_serial(self, tmp_path):
-        records = write_corpus(tmp_path, actors=[1])
+        rng = np.random.default_rng(13)
+        signals = {e: rng.normal(size=40).tolist() for e in EMOTIONS}
+        records = write_corpus(tmp_path, actors=[1, 2], samples_by_emotion=signals)
+        (tmp_path / f"a2-{audio_columns()[30].column_key()}.csv").write_text("1.0\nabc\n")
         serial = build_entropy_table(records, jobs=1)
         parallel = build_entropy_table(records, jobs=2)
-        assert np.array_equal(serial.matrix.values, parallel.matrix.values)
+        assert np.array_equal(serial.matrix.values, parallel.matrix.values, equal_nan=True)
+        assert len(serial.failures) == 1
+        assert serial.failures == parallel.failures
+        assert serial.matrix.row_complete == parallel.matrix.row_complete == (True, False)
+
+    def test_dead_worker_is_a_dataset_error(self, tmp_path, monkeypatch):
+        records = write_corpus(tmp_path, actors=[1])
+        monkeypatch.setattr(dataset, "_entropy_of_file", _exit_worker)
+        with pytest.raises(DatasetError, match="worker process died"):
+            build_entropy_table(records, jobs=2)
 
 
 class TestExperimentBuilders:

@@ -118,6 +118,115 @@ class TestLowerStarBarcode:
                 assert death in maxima
 
 
+def reference_lower_star_barcode(c):
+    """The union-of-runs sweep that lower_star_barcode replaced, kept verbatim.
+
+    Sweeps vertices in canonical order; each new vertex either starts a run,
+    extends an adjacent run, or merges the two runs beside it. A run is kept
+    only at its two end vertices, which point at each other and carry the
+    run's birth vertex. lower_star_barcode must return byte-identical arrays.
+    """
+    n = len(c)
+    samples = c.samples.tolist()
+    rank = c.tie_rank.tolist()
+    order = np.empty(n, dtype=np.intp)
+    order[c.tie_rank] = np.arange(n)
+
+    other_end = [-1] * n
+    birth_at = [0] * n
+    births: list[float] = []
+    deaths: list[float] = []
+
+    for v in order.tolist():
+        has_left = v > 0 and other_end[v - 1] >= 0
+        has_right = v < n - 1 and other_end[v + 1] >= 0
+        if has_left and has_right:
+            lo, hi = other_end[v - 1], other_end[v + 1]
+            bl, br = birth_at[v - 1], birth_at[v + 1]
+            elder, younger = (bl, br) if rank[bl] < rank[br] else (br, bl)
+            if samples[v] > samples[younger]:
+                births.append(samples[younger])
+                deaths.append(samples[v])
+            other_end[lo], other_end[hi], other_end[v] = hi, lo, lo
+            birth_at[lo] = birth_at[hi] = elder
+        elif has_left:
+            lo = other_end[v - 1]
+            other_end[lo], other_end[v] = v, lo
+            birth_at[v] = birth_at[v - 1]
+        elif has_right:
+            hi = other_end[v + 1]
+            other_end[hi], other_end[v] = v, hi
+            birth_at[v] = birth_at[v + 1]
+        else:
+            other_end[v] = v
+            birth_at[v] = v
+
+    births.append(samples[int(order[0])])
+    deaths.append(INFINITE)
+    return Barcode(births=np.array(births), deaths=np.array(deaths), f_max=float(c.samples.max()))
+
+
+def alternating(n):
+    x = np.full(n, 1e9)
+    x[0::2] = -2.0 * np.arange((n + 1) // 2)
+    return x
+
+
+def far_reach(m, leftward):
+    """m saddles, each higher than all before it (leftward) or after it.
+
+    The last (first) saddle merges a component whose lowest minimum lies at
+    the far end of the signal; with m = 2**k - 3 its reach needs every
+    level of the sparse table.
+    """
+    minima = 10.0 + np.arange(m + 1)
+    minima[0], minima[m] = (0.0, 5.0) if leftward else (5.0, 0.0)
+    saddles = 100.0 + (np.arange(m) if leftward else -np.arange(m))
+    x = np.empty(2 * m + 1)
+    x[0::2], x[1::2] = minima, saddles
+    return x
+
+
+def bit_identity_cases():
+    rng = np.random.default_rng(12)
+    cases = [(f"far_reach_{side}_{m}", far_reach(m, side == "left"))
+             for m in (5, 13, 29, 61) for side in ("left", "right")]
+    cases += [
+        ("n1", [7.0]),
+        ("n2_up", [1.0, 2.0]),
+        ("n2_down", [2.0, 1.0]),
+        ("n2_tied", [3.0, 3.0]),
+        ("n3_peak", [1.0, 3.0, 2.0]),
+        ("n3_valley", [3.0, 1.0, 2.0]),
+        ("n3_tied_peak", [2.0, 2.0, 2.0]),
+        ("signed_zeros", [0.0, -0.0, 1.0, -0.0, 0.0, 1.0, 0.0, -0.0]),
+        ("increasing", np.arange(1000.0)),
+        ("decreasing", -np.arange(1000.0)),
+        ("constant", np.full(1000, 0.25)),
+        ("alternating_1e4", alternating(10_000)),
+        ("alternating_1e5", alternating(100_000)),
+        ("white_noise_1e4", rng.standard_normal(10_000)),
+        ("random_walk_1e4", rng.standard_normal(10_000).cumsum()),
+        ("quantized_walk_1e4",
+         np.round(rng.standard_normal(10_000).cumsum() / 4.0) + rng.integers(-2, 3, 10_000)),
+    ]
+    for trial in range(40):
+        n = int(rng.integers(1, 400))
+        cases.append((f"tie_heavy_{trial}", rng.integers(0, 1 + trial % 6, size=n).astype(float)))
+    return [pytest.param(values, id=name) for name, values in cases]
+
+
+@pytest.mark.parametrize("values", bit_identity_cases())
+def test_barcode_is_bit_identical_to_reference(values):
+    c = canonicalize(Signal(np.asarray(values, dtype=float)))
+    got = lower_star_barcode(c)
+    want = reference_lower_star_barcode(c)
+    assert got.births.tobytes() == want.births.tobytes()
+    assert got.deaths.tobytes() == want.deaths.tobytes()
+    assert got.f_max == want.f_max
+    assert persistent_entropy(got).hex() == persistent_entropy(want).hex()
+
+
 class TestOracle:
     def test_matches_fast_path_on_random_inputs(self):
         rng = np.random.default_rng(8)

@@ -145,12 +145,15 @@ class TestCanonicalize:
         c = canonicalize(Signal(np.array([1.0, 2.0, 5.0, 9.0])))
         assert list(c.tie_rank) == [0, 1, 2, 3]
 
-    def test_distinct_values_match_sort_oracle(self):
+    def test_matches_stable_sort_oracle(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            vals = rng.permutation(rng.normal(size=50))
+        inputs = [rng.permutation(rng.normal(size=50)) for _ in range(20)]
+        inputs += [rng.integers(0, k, size=int(rng.integers(1, 300))).astype(float)
+                   for k in (1, 2, 3, 5, 8) for _ in range(6)]  # tie-heavy; k=1 is all-equal
+        inputs += [np.zeros(1), np.full(1000, -3.5), np.array([0.0, -0.0, 1.0, -0.0, 0.0])]
+        for vals in inputs:
             c = canonicalize(Signal(vals))
-            oracle = np.argsort(np.argsort(vals))
+            oracle = np.argsort(np.argsort(vals, kind="stable"))
             assert np.array_equal(c.tie_rank, oracle)
 
     def test_ranks_are_a_bijection(self):

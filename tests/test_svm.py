@@ -54,6 +54,11 @@ class TestKernelEval:
         with pytest.raises(TrainingError):
             KernelSpec("gaussian", sigma=0.0)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(TrainingError, match="finite"):
+            KernelSpec("gaussian", sigma=sigma)
+
 
 def kkt_residuals(model, data, C, tol):
     """Check every point against the soft-margin KKT conditions."""
@@ -114,6 +119,17 @@ class TestTrainBinary:
     def test_empty_rejected(self):
         with pytest.raises(TrainingError):
             train_binary([], KernelSpec("linear"))
+
+    @pytest.mark.parametrize("param", [{"C": math.nan}, {"C": math.inf}, {"tol": math.nan}, {"tol": math.inf}])
+    def test_non_finite_parameter_rejected(self, param):
+        with pytest.raises(TrainingError, match="finite"):
+            train_binary(TWO_POINTS, KernelSpec("linear"), **param)
+
+    def test_overflowing_gram_matrix_rejected(self):
+        data = [LabeledPoint(np.array([v * 1e110]), lab)
+                for v, lab in ((1.0, "A"), (2.0, "A"), (-1.0, "B"), (-2.0, "B"))]
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="polynomial"):
+            train_binary(data, KernelSpec("polynomial", degree=3))
 
     def test_order_permutation_does_not_change_predictions(self):
         X, labels = make_blobs(seed=2)
