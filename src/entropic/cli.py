@@ -1,11 +1,15 @@
 """Batch command-line surface.
 
-Subcommands: entropy, barcode, experiment, stats, kernels. Option precedence
-is built-in defaults < --config JSON file < explicit flags. An environment
-variable ENTROPIC_<COMMAND>_<OPTION> sets a flag of one subcommand, e.g.
-ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy --target-len 3` (click
-auto-envvar); a bare ENTROPIC_TARGET_LEN is ignored.
-The effective configuration is echoed into every primary output.
+Subcommands: entropy, barcode, experiment, stats, kernels. `kernels N` is the
+kernel/C grid search for each of the three experiments; `experiment N` runs
+one experiment with one kernel and C. Option precedence is built-in defaults
+< --config JSON file < explicit flags. The defaults are those of
+ExperimentConfig and KernelSpec (polynomial: degree 2, offset 1). A --config
+key is a flag name with underscores (target_len for --target-len); stats
+reads no config. An environment variable ENTROPIC_<COMMAND>_<OPTION> sets a
+flag of one subcommand, e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for
+`entropy --target-len 3` (click auto-envvar); a bare ENTROPIC_TARGET_LEN is
+ignored. The effective configuration is echoed into every primary output.
 
 Exit codes: 0 success, 1 partial per-file failure, 2 invalid invocation.
 """
@@ -26,31 +30,31 @@ from .errors import EntropicError
 from .persistence import barcode_to_csv, persistent_entropy, signal_barcode
 from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 
+_EXPERIMENT = ds.ExperimentConfig()
+_POLYNOMIAL = svm.KernelSpec("polynomial")
 DEFAULTS = {
-    "target_len": DEFAULT_TARGET_LEN,
-    "seed": 0,
-    "k": 5,
-    "C": 1.0,
-    "tol": 1e-3,
-    "kernel": None,
-    "sigma": None,
-    "degree": 2,
-    "offset": 1.0,
+    **{key: getattr(_EXPERIMENT, key) for key in ("target_len", "seed", "k", "C", "tol", "kernel")},
+    "sigma": None,  # a gaussian --kernel needs an explicit --sigma
+    "degree": _POLYNOMIAL.degree,
+    "offset": _POLYNOMIAL.offset,
     "jobs": 1,
 }
-_INT_KEYS = ("target_len", "seed", "k", "degree", "jobs")
-_NULLABLE_KEYS = ("kernel", "sigma")
 
 
 def _config_value_ok(key: str, value) -> bool:
-    """Whether a --config value has the type its flag would give it."""
+    """Whether a --config value has the type its flag would give it.
+
+    The default's type decides: an int default takes ints and a float one
+    any number; a None default also takes None. kernel takes a name.
+    """
+    default = DEFAULTS[key]
     if value is None:
-        return key in _NULLABLE_KEYS
+        return default is None
     if isinstance(value, bool):
         return False
     if key == "kernel":
         return isinstance(value, str)
-    if key in _INT_KEYS:
+    if isinstance(default, int):
         return isinstance(value, int)
     return isinstance(value, (int, float))
 
@@ -190,10 +194,8 @@ def _load_matrix(source: str, cfg: dict) -> tuple[st.EntropyMatrix, tuple]:
 @click.option("--degree", type=int, default=None)
 @click.option("--offset", type=float, default=None)
 @click.option("--jobs", type=int, default=None)
-@click.option("--grid-search/--no-grid-search", default=False,
-              help="Also report the kernel/C grid (experiment 1).")
 def experiment(exp_id, source, config_path, target_len, out_dir, seed, k, kernel,
-               C, sigma, degree, offset, jobs, grid_search) -> None:
+               C, sigma, degree, offset, jobs) -> None:
     """Run experiment 1, 2 or 3 on a manifest, entropy table or corpus tree."""
     cfg = _effective_config(config_path, {
         "target_len": target_len, "seed": seed, "k": k, "kernel": kernel,
@@ -204,7 +206,6 @@ def experiment(exp_id, source, config_path, target_len, out_dir, seed, k, kernel
         config = ds.ExperimentConfig(
             seed=cfg["seed"], k=cfg["k"], C=cfg["C"], tol=cfg["tol"],
             target_len=cfg["target_len"], kernel=_kernel_from_config(cfg),
-            grid_search=grid_search,
         )
         result = ds.run_experiment(exp_id, matrix, config)
     except EntropicError as exc:
@@ -218,11 +219,9 @@ def experiment(exp_id, source, config_path, target_len, out_dir, seed, k, kernel
 
 @main.command()
 @click.argument("table", type=click.Path(exists=True))
-@config_option
 @out_dir_option
-def stats(table, config_path, out_dir) -> None:
+def stats(table, out_dir) -> None:
     """Correlation, sex-grouped means and box-plot summaries of an entropy table."""
-    _effective_config(config_path, {})
     try:
         matrix = ds.read_entropy_table(table)
         corr = st.correlation_matrix(matrix)
@@ -251,7 +250,7 @@ def stats(table, config_path, out_dir) -> None:
 @click.option("--k", type=int, default=None)
 @click.option("--jobs", type=int, default=None)
 def kernels(exp_id, source, config_path, target_len, out_dir, seed, k, jobs) -> None:
-    """Kernel/C grid-search report for an experiment's feature set."""
+    """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
     cfg = _effective_config(config_path, {
         "target_len": target_len, "seed": seed, "k": k, "jobs": jobs,
     })

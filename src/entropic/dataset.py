@@ -189,8 +189,9 @@ def build_entropy_table(
     """Compute one persistent entropy per recording, arranged actors x audios.
 
     Rows follow ascending actor id, columns the canonical 60-audio layout.
-    Per-file failures are collected (not fatal) and mark the row incomplete;
-    jobs > 1 fans the per-file work out to worker processes.
+    Per-file failures are collected (not fatal) and leave their cells NaN;
+    jobs > 1 fans the per-file work out to at most as many worker processes
+    as there are files and cores.
     """
     if not records:
         raise DatasetError("no recordings")
@@ -204,12 +205,15 @@ def build_entropy_table(
 
     paths = [r.path for r in records]
     lengths = [target_len] * len(records)
-    if jobs > 1:
+    # The pool starts all its workers at once, so more than there are files
+    # or cores would only cost process starts.
+    workers = min(jobs, len(records), os.cpu_count() or 1)
+    if workers > 1:
         # A few chunks per worker, not one task per file: each task is a
         # round trip through the pool's queues.
-        chunksize = -(-len(records) // (4 * jobs))
+        chunksize = -(-len(records) // (4 * workers))
         try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_entropy_of_file, paths, lengths, chunksize=chunksize))
         except concurrent.futures.BrokenExecutor as exc:
             raise DatasetError(f"a worker process died: {exc}")
@@ -223,24 +227,18 @@ def build_entropy_table(
         else:
             failures.append((rec.path, outcome))
 
-    row_complete = tuple(bool(np.all(np.isfinite(values[i]))) for i in range(len(actor_ids)))
     matrix = EntropyMatrix(
         values=values,
         actor_meta=tuple(ActorInfo(a, sexes[a]) for a in actor_ids),
         audio_meta=tuple(columns),
-        row_complete=row_complete,
     )
     return EntropyTableResult(matrix=matrix, failures=tuple(sorted(failures)))
 
 
 def missing_cells(m: EntropyMatrix) -> list[tuple[int, str]]:
     """(actor_id, column key) pairs that are absent from an incomplete matrix."""
-    out = []
-    for i, actor in enumerate(m.actor_meta):
-        for j, meta in enumerate(m.audio_meta):
-            if not np.isfinite(m.values[i, j]):
-                out.append((actor.actor_id, meta.column_key()))
-    return out
+    return [(m.actor_meta[i].actor_id, m.audio_meta[j].column_key())
+            for i, j in np.argwhere(~np.isfinite(m.values))]
 
 
 def _require_complete(m: EntropyMatrix) -> None:
@@ -319,7 +317,6 @@ class ExperimentConfig:
     target_len: int = DEFAULT_TARGET_LEN
     kernel: svm.KernelSpec | None = None  # None: the experiment's default kernel
     include_neutral: bool = True
-    grid_search: bool = False
 
     def snapshot(self, effective_kernel: svm.KernelSpec) -> dict:
         return {
@@ -330,7 +327,6 @@ class ExperimentConfig:
             "target_len": self.target_len,
             "kernel": effective_kernel.describe(),
             "include_neutral": self.include_neutral,
-            "grid_search": self.grid_search,
         }
 
 
@@ -343,7 +339,6 @@ class ExperimentResult:
     accuracies: dict[str, float]
     fold_accuracies: tuple[float, ...] = ()
     pairwise: dict[tuple[str, str], float] = field(default_factory=dict)
-    grid_report: tuple[tuple[str, float, float], ...] = ()
     config: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -353,53 +348,20 @@ class ExperimentResult:
             "accuracies": self.accuracies,
             "fold_accuracies": list(self.fold_accuracies),
             "pairwise": {f"{a}|{b}": v for (a, b), v in sorted(self.pairwise.items())},
-            "grid_report": [list(row) for row in self.grid_report],
             "config": self.config,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _train_test_split(
-    labels: Sequence, n_train: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified seeded split with exactly n_train training points."""
-    rng = np.random.default_rng(seed)
-    by_class: dict = {}
-    for idx, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(idx)
-    frac = n_train / len(labels)
-    train: list[int] = []
-    # Floor per class first, then top up largest remainders to hit n_train.
-    quotas = {}
-    for lab, idxs in sorted(by_class.items(), key=lambda kv: str(kv[0])):
-        quotas[lab] = int(np.floor(frac * len(idxs)))
-    remainders = sorted(
-        by_class,
-        key=lambda lab: (frac * len(by_class[lab]) - quotas[lab]),
-        reverse=True,
-    )
-    shortfall = n_train - sum(quotas.values())
-    for lab in remainders[:shortfall]:
-        quotas[lab] += 1
-    for lab, idxs in sorted(by_class.items(), key=lambda kv: str(kv[0])):
-        idxs = np.array(idxs)
-        rng.shuffle(idxs)
-        train.extend(int(i) for i in idxs[: quotas[lab]])
-    train_set = set(train)
-    test = [i for i in range(len(labels)) if i not in train_set]
-    return np.array(sorted(train), dtype=np.intp), np.array(test, dtype=np.intp)
-
-
 def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = ExperimentConfig()) -> ExperimentResult:
     """Run one of the three experiments on a complete entropy matrix.
 
-    1: k-fold CV over 1-D entropy points, linear kernel by default, with an
-       optional kernel grid report.
+    1: k-fold CV over 1-D entropy points, linear kernel by default.
     2: stratified 40/20 train/test split over per-audio actor vectors,
        gaussian kernel (median-heuristic sigma) by default; reports train,
        test and full-dataset accuracy.
     3: per emotion pair, k-fold CV over per-actor 8-feature vectors with a
-       degree-2 polynomial kernel by default; emits the pairwise table.
+       (x.y + 1)^2 polynomial kernel by default; emits the pairwise table.
     """
     if exp_id == 1:
         points = build_experiment1(m, include_neutral=config.include_neutral)
@@ -407,18 +369,11 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
         cv = svm.kfold_cross_validate(
             points, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
         )
-        grid_report = ()
-        if config.grid_search:
-            grid = svm.select_best_kernel(
-                points, tol=config.tol, k=config.k, seed=config.seed
-            )
-            grid_report = grid.table
         return ExperimentResult(
             experiment=1,
             kernel=kernel.describe(),
             accuracies={"cv_mean": cv.mean_accuracy},
             fold_accuracies=cv.fold_accuracies,
-            grid_report=grid_report,
             config=config.snapshot(kernel),
         )
 
@@ -430,7 +385,7 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
             "gaussian", sigma=svm.median_pairwise_distance(X)
         )
         n_train = max(1, round(len(points) * 2 / 3))
-        train_idx, test_idx = _train_test_split(labels, n_train, config.seed)
+        train_idx, test_idx = svm.stratified_split(labels, n_train, config.seed)
         train_pts = [points[i] for i in train_idx]
         model = svm.train_multiclass(train_pts, kernel, C=config.C, tol=config.tol)
         acc = {
@@ -447,7 +402,7 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
 
     if exp_id == 3:
         points = build_experiment3(m)
-        kernel = config.kernel or svm.KernelSpec("polynomial", degree=2, offset=1.0)
+        kernel = config.kernel or svm.KernelSpec("polynomial")
         emotions = [e for e in EMOTIONS if e != "neutral"]
         pairwise: dict[tuple[str, str], float] = {}
         for a_idx in range(len(emotions)):
@@ -519,11 +474,8 @@ def read_entropy_table(path) -> EntropyMatrix:
             values.append([float(c) if c else float("nan") for c in row[2:]])
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}")
-    values = np.array(values, dtype=np.float64)
-    row_complete = tuple(bool(np.all(np.isfinite(r))) for r in values)
     return EntropyMatrix(
-        values=values,
+        values=np.array(values, dtype=np.float64),
         actor_meta=tuple(actors),
         audio_meta=tuple(audio_meta),
-        row_complete=row_complete,
     )

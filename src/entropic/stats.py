@@ -36,7 +36,6 @@ class EntropyMatrix:
     values: np.ndarray
     actor_meta: tuple[ActorInfo, ...]
     audio_meta: tuple[AudioInfo, ...]
-    row_complete: tuple[bool, ...]
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -44,14 +43,13 @@ class EntropyMatrix:
             raise StatsError("entropy matrix must be 2-D")
         if values.shape[0] != len(self.actor_meta) or values.shape[1] != len(self.audio_meta):
             raise StatsError("entropy matrix shape does not match metadata")
-        if len(self.row_complete) != values.shape[0]:
-            raise StatsError("row_complete length does not match actor count")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
     def complete(self) -> bool:
-        return all(self.row_complete)
+        """Whether every cell holds a finite entropy (a missing one is NaN)."""
+        return bool(np.isfinite(self.values).all())
 
 
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
@@ -72,16 +70,25 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def correlation_matrix(m: EntropyMatrix) -> np.ndarray:
-    """Symmetric actor-by-actor Pearson matrix with exact unit diagonal."""
+    """Symmetric actor-by-actor Pearson matrix with exact unit diagonal.
+
+    Each cell is computed as :func:`pearson` computes it, so the two agree
+    bit for bit.
+    """
     if not m.complete:
         raise StatsError("entropy matrix has incomplete rows")
-    values = m.values
-    n = values.shape[0]
-    out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = pearson(values[i], values[j])
-            out[i, j] = out[j, i] = r
+    n, length = m.values.shape
+    if n < 2:
+        return np.eye(n)
+    if length < 2:
+        raise StatsError("need at least 2 points")
+    values = np.ascontiguousarray(m.values)  # so row sums add pairwise, as pearson's do
+    d = values - values.mean(axis=1, keepdims=True)
+    var = (d * d).sum(axis=1)
+    if np.any(var == 0.0):
+        raise StatsError("correlation undefined for a constant sequence")
+    out = (d[:, None, :] * d[None, :, :]).sum(axis=2) / np.sqrt(var[:, None] * var[None, :])
+    np.fill_diagonal(out, 1.0)
     return out
 
 

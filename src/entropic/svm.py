@@ -29,14 +29,15 @@ MODEL_FORMAT_VERSION = 1
 class KernelSpec:
     """Kernel family with parameters.
 
-    family is 'linear', 'polynomial' or 'gaussian'. ``scale`` multiplies the
-    kernel value uniformly; it exists only for rescaling-invariance checks and
+    family is 'linear', 'polynomial' or 'gaussian'. The polynomial defaults,
+    (x.y + 1)^2, are experiment 3's kernel. ``scale`` multiplies the kernel
+    value uniformly; it exists only for rescaling-invariance checks and
     defaults to 1.
     """
 
     family: str
-    degree: int = 3
-    offset: float = 0.0
+    degree: int = 2
+    offset: float = 1.0
     sigma: float = 1.0
     scale: float = 1.0
 
@@ -363,6 +364,21 @@ class CvResult:
     stratified: bool  # False when stratification degraded to a plain shuffle
 
 
+def _shuffled_by_class(labels: Sequence, seed: int) -> dict:
+    """Each class's indices in a seeded random order, keyed by class in order
+    of first appearance. One generator shuffles the classes in sorted order,
+    so the draws do not depend on the order in which the classes appear."""
+    rng = np.random.default_rng(seed)
+    by_class: dict = {}
+    for idx, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(idx)
+    for lab in _sorted_classes(labels):
+        idxs = np.array(by_class[lab], dtype=np.intp)
+        rng.shuffle(idxs)
+        by_class[lab] = idxs
+    return by_class
+
+
 def stratified_folds(labels: Sequence, k: int, seed: int) -> tuple[list[np.ndarray], bool]:
     """Split indices into k folds preserving class proportions within +-1.
 
@@ -374,26 +390,30 @@ def stratified_folds(labels: Sequence, k: int, seed: int) -> tuple[list[np.ndarr
         raise TrainingError("k must be at least 2")
     if k > n:
         raise TrainingError(f"k={k} exceeds dataset size {n}")
-    rng = np.random.default_rng(seed)
-    by_class: dict = {}
-    for idx, lab in enumerate(labels):
-        by_class.setdefault(lab, []).append(idx)
-
+    by_class = _shuffled_by_class(labels, seed)
     stratified = all(len(v) >= 2 for v in by_class.values())
-    folds: list[list[int]] = [[] for _ in range(k)]
     if stratified:
-        offset = 0
-        for lab in _sorted_classes(labels):
-            idxs = np.array(by_class[lab])
-            rng.shuffle(idxs)
-            for pos, idx in enumerate(idxs):
-                folds[(offset + pos) % k].append(int(idx))
-            offset += len(idxs)
+        order = np.concatenate([by_class[lab] for lab in _sorted_classes(labels)])
     else:
-        perm = rng.permutation(n)
-        for pos, idx in enumerate(perm):
-            folds[pos % k].append(int(idx))
-    return [np.array(sorted(f), dtype=np.intp) for f in folds], stratified
+        order = np.random.default_rng(seed).permutation(n)
+    return [np.sort(order[fold::k]) for fold in range(k)], stratified
+
+
+def stratified_split(labels: Sequence, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded stratified split with exactly n_train training points.
+
+    Each class gives the floor of its share of n_train; the classes with the
+    largest remainders (ties in order of first appearance) give one more.
+    Returns the ascending train and test indices.
+    """
+    by_class = _shuffled_by_class(labels, seed)
+    frac = n_train / len(labels)
+    quotas = {lab: int(np.floor(frac * len(idxs))) for lab, idxs in by_class.items()}
+    by_remainder = sorted(by_class, key=lambda lab: frac * len(by_class[lab]) - quotas[lab], reverse=True)
+    for lab in by_remainder[: n_train - sum(quotas.values())]:
+        quotas[lab] += 1
+    train = np.sort(np.concatenate([idxs[: quotas[lab]] for lab, idxs in by_class.items()]))
+    return train, np.setdiff1d(np.arange(len(labels)), train)
 
 
 def kfold_cross_validate(

@@ -14,7 +14,6 @@ def make_matrix(values: np.ndarray) -> EntropyMatrix:
             ActorInfo(i + 1, "male" if (i + 1) % 2 == 1 else "female") for i in range(n_actors)
         ),
         audio_meta=tuple(audio_columns()),
-        row_complete=tuple([True] * n_actors),
     )
 
 

@@ -10,8 +10,9 @@ from click.testing import CliRunner
 
 import entropic
 from conftest import make_matrix
-from entropic.cli import main
-from entropic.dataset import entropy_table_csv
+from entropic.cli import DEFAULTS, _config_value_ok, main
+from entropic.dataset import ExperimentConfig, entropy_table_csv
+from entropic.svm import KernelSpec
 
 
 @pytest.fixture
@@ -82,6 +83,12 @@ class TestEntropyCommand:
         assert result.exit_code == 2, result.output
         assert "'target_len' has a value of the wrong type" in result.output
 
+    def test_config_types_checked_as_before(self):
+        values = [None, True, False, 0, 3, -1, 2**70, 3.5, 1.0, float("nan"), "abc", "", [], {}, [1]]
+        for key in DEFAULTS:
+            for value in values:
+                assert _config_value_ok(key, value) == reference_config_value_ok(key, value), (key, value)
+
     def test_env_var_names_the_command(self, sig_csv):
         def subsampled_to(env):
             result = CliRunner(env=env).invoke(main, ["entropy", str(sig_csv)])
@@ -96,6 +103,54 @@ class TestEntropyCommand:
         result = runner.invoke(main, ["entropy", str(sig_csv), "--out-dir", str(out)])
         assert result.exit_code == 0
         assert (out / "entropy.csv").exists()
+
+
+_INT_KEYS = ("target_len", "seed", "k", "degree", "jobs")
+_NULLABLE_KEYS = ("kernel", "sigma")
+
+
+def reference_config_value_ok(key: str, value) -> bool:
+    """The --config type check with the key lists it had before it read the
+    types from DEFAULTS; it must accept and reject the same values."""
+    if value is None:
+        return key in _NULLABLE_KEYS
+    if isinstance(value, bool):
+        return False
+    if key == "kernel":
+        return isinstance(value, str)
+    if key in _INT_KEYS:
+        return isinstance(value, int)
+    return isinstance(value, (int, float))
+
+
+def test_defaults_come_from_the_library():
+    library = ExperimentConfig()
+    for key in ("target_len", "seed", "k", "C", "tol", "kernel"):
+        assert DEFAULTS[key] == getattr(library, key)
+    poly = KernelSpec("polynomial")
+    assert (DEFAULTS["degree"], DEFAULTS["offset"]) == (poly.degree, poly.offset) == (2, 1.0)
+
+
+def test_polynomial_flag_is_the_library_polynomial(runner, table_csv, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "2", str(table_csv), "--kernel", "polynomial",
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "experiment2.json").read_text())
+    assert doc["kernel"] == KernelSpec("polynomial").describe() == "polynomial(d=2, c=1.0)"
+
+
+@pytest.mark.parametrize("args", [
+    ["experiment", "1", "TABLE", "--grid-search"],
+    ["stats", "TABLE", "--config", "CFG"],
+])
+def test_removed_options_are_usage_errors(runner, table_csv, tmp_path, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    args = [{"TABLE": str(table_csv), "CFG": str(cfg)}.get(a, a) for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "No such option" in result.output
 
 
 class TestBarcodeCommand:

@@ -166,10 +166,11 @@ class TestBuildEntropyTable:
         (tmp_path / f"a1-{audio_columns()[0].column_key()}.csv").write_text("abc\n")
         result = build_entropy_table(records)
         assert len(result.failures) == 1
-        assert not result.matrix.row_complete[0]
+        assert not result.matrix.complete
         assert missing_cells(result.matrix) == [(1, "neutral-normal-1-1")]
 
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 even on one core
         rng = np.random.default_rng(13)
         signals = {e: rng.normal(size=40).tolist() for e in EMOTIONS}
         records = write_corpus(tmp_path, actors=[1, 2], samples_by_emotion=signals)
@@ -179,13 +180,57 @@ class TestBuildEntropyTable:
         assert np.array_equal(serial.matrix.values, parallel.matrix.values, equal_nan=True)
         assert len(serial.failures) == 1
         assert serial.failures == parallel.failures
-        assert serial.matrix.row_complete == parallel.matrix.row_complete == (True, False)
+        assert not serial.matrix.complete and not parallel.matrix.complete
+        assert missing_cells(serial.matrix) == missing_cells(parallel.matrix) == [
+            (2, audio_columns()[30].column_key())]
 
     def test_dead_worker_is_a_dataset_error(self, tmp_path, monkeypatch):
         records = write_corpus(tmp_path, actors=[1])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # on one core the pool is skipped
         monkeypatch.setattr(dataset, "_entropy_of_file", _exit_worker)
         with pytest.raises(DatasetError, match="worker process died"):
             build_entropy_table(records, jobs=2)
+
+    @pytest.mark.parametrize("jobs,cores,files,workers", [
+        (5000, 4, 10, 4),
+        (5000, 64, 10, 10),
+        (3, 64, 10, 3),
+        (2, 64, 60, 2),
+        (5000, 1, 10, None),
+        (5000, None, 10, None),
+        (1, 64, 10, None),
+    ])
+    def test_jobs_bounded_by_files_and_cores(self, tmp_path, monkeypatch, jobs, cores, files, workers):
+        pools = []
+
+        class SerialPool:
+            """Records how it was asked to fan out; maps in this process."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                self.chunksize = chunksize
+                return map(fn, *iterables)
+
+        records = write_corpus(tmp_path, actors=[1])[:files]
+        serial = build_entropy_table(records)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(dataset.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        result = build_entropy_table(records, jobs=jobs)
+        if workers is None:
+            assert pools == []  # one worker: no pool at all
+        else:
+            assert [p.max_workers for p in pools] == [workers]
+            assert pools[0].chunksize == -(-files // (4 * workers))
+        assert np.array_equal(result.matrix.values, serial.matrix.values, equal_nan=True)
 
 
 class TestExperimentBuilders:

@@ -69,10 +69,68 @@ class TestCorrelationMatrix:
             values=values,
             actor_meta=(ActorInfo(1, "male"), ActorInfo(2, "female")),
             audio_meta=tuple(audio_columns()),
-            row_complete=(True, False),
         )
-        with pytest.raises(StatsError):
+        assert not m.complete
+        with pytest.raises(StatsError, match="incomplete"):
             correlation_matrix(m)
+
+    def test_constant_row_rejected(self):
+        values = np.random.default_rng(5).normal(size=(24, 60))
+        values[7] = 2.5
+        with pytest.raises(StatsError, match="constant"):
+            correlation_matrix(make_matrix(values))
+        with pytest.raises(StatsError, match="constant"):
+            reference_correlation_matrix(make_matrix(values))
+
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            n, length = int(rng.integers(1, 13)), int(rng.integers(3, 70))
+            values = rng.normal(size=(n, length))
+            if case % 3 == 0:
+                values = np.round(values, 1)  # repeated values
+                values[:, :2] = [-1.0, 1.0]  # and no constant row
+            values = values * 10.0 ** rng.integers(-6, 7) + rng.normal() * 100
+            if case % 5 == 0 and n > 1:
+                values[1] = values[0]  # an exactly identical pair
+            m = any_shape_matrix(values)
+            got, want = correlation_matrix(m), reference_correlation_matrix(m)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
+
+    def test_too_short_rows_rejected_like_reference(self):
+        m = any_shape_matrix(np.array([[1.0], [2.0]]))
+        for fn in (correlation_matrix, reference_correlation_matrix):
+            with pytest.raises(StatsError, match="at least 2 points"):
+                fn(m)
+        single = any_shape_matrix(np.array([[3.0, 3.0, 3.0]]))
+        assert np.array_equal(correlation_matrix(single), reference_correlation_matrix(single))
+
+
+def any_shape_matrix(values):
+    """An EntropyMatrix of any shape; the metadata is placeholder."""
+    from entropic.stats import ActorInfo, AudioInfo, EntropyMatrix
+
+    return EntropyMatrix(
+        values=values,
+        actor_meta=tuple(ActorInfo(i + 1, "male") for i in range(values.shape[0])),
+        audio_meta=(AudioInfo("happy", "normal", 1, 1),) * values.shape[1],
+    )
+
+
+def reference_correlation_matrix(m):
+    """The double loop over pearson that correlation_matrix replaced, kept as
+    the reference it must match bit for bit."""
+    if not m.complete:
+        raise StatsError("entropy matrix has incomplete rows")
+    values = m.values
+    n = values.shape[0]
+    out = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = pearson(values[i], values[j])
+            out[i, j] = out[j, i] = r
+    return out
 
 
 class TestSexGroupedMeans:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs
+from entropic.dataset import audio_columns
 from entropic.errors import TrainingError
 from entropic.svm import (
     KernelSpec,
@@ -18,6 +19,8 @@ from entropic.svm import (
     kernel_matrix,
     kfold_cross_validate,
     select_best_kernel,
+    stratified_folds,
+    stratified_split,
     train_binary,
     train_multiclass,
 )
@@ -374,8 +377,6 @@ class TestKfold:
         data.append(LabeledPoint(np.array([-9.0, -9.0]), "C"))
         data.append(LabeledPoint(np.array([-9.0, -8.0]), "C"))
         labels3 = [p.label for p in data]
-        from entropic.svm import stratified_folds
-
         folds, stratified = stratified_folds(labels3, k=3, seed=0)
         assert stratified  # two C points is still enough
         data.append(LabeledPoint(np.array([-9.0, -7.0]), "D"))
@@ -439,3 +440,117 @@ class TestModelSerialization:
         doc = m.to_json().replace('"version": 1', '"version": 99')
         with pytest.raises(TrainingError):
             SvmModel.from_json(doc)
+
+
+def reference_stratified_folds(labels, k, seed):
+    """The per-index fold assignment that stratified_folds replaced, kept as
+    the reference it must match index for index."""
+    n = len(labels)
+    if k < 2:
+        raise TrainingError("k must be at least 2")
+    if k > n:
+        raise TrainingError(f"k={k} exceeds dataset size {n}")
+    rng = np.random.default_rng(seed)
+    by_class: dict = {}
+    for idx, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(idx)
+
+    stratified = all(len(v) >= 2 for v in by_class.values())
+    folds: list[list[int]] = [[] for _ in range(k)]
+    if stratified:
+        offset = 0
+        for lab in _sorted_classes(labels):
+            idxs = np.array(by_class[lab])
+            rng.shuffle(idxs)
+            for pos, idx in enumerate(idxs):
+                folds[(offset + pos) % k].append(int(idx))
+            offset += len(idxs)
+    else:
+        perm = rng.permutation(n)
+        for pos, idx in enumerate(perm):
+            folds[pos % k].append(int(idx))
+    return [np.array(sorted(f), dtype=np.intp) for f in folds], stratified
+
+
+def reference_train_test_split(labels, n_train, seed):
+    """The experiment-2 split that stratified_split replaced (it lived in
+    the dataset module), kept as the reference it must match index for index
+    on string labels."""
+    rng = np.random.default_rng(seed)
+    by_class: dict = {}
+    for idx, lab in enumerate(labels):
+        by_class.setdefault(lab, []).append(idx)
+    frac = n_train / len(labels)
+    train: list[int] = []
+    # Floor per class first, then top up largest remainders to hit n_train.
+    quotas = {}
+    for lab, idxs in sorted(by_class.items(), key=lambda kv: str(kv[0])):
+        quotas[lab] = int(np.floor(frac * len(idxs)))
+    remainders = sorted(
+        by_class,
+        key=lambda lab: (frac * len(by_class[lab]) - quotas[lab]),
+        reverse=True,
+    )
+    shortfall = n_train - sum(quotas.values())
+    for lab in remainders[:shortfall]:
+        quotas[lab] += 1
+    for lab, idxs in sorted(by_class.items(), key=lambda kv: str(kv[0])):
+        idxs = np.array(idxs)
+        rng.shuffle(idxs)
+        train.extend(int(i) for i in idxs[: quotas[lab]])
+    train_set = set(train)
+    test = [i for i in range(len(labels)) if i not in train_set]
+    return np.array(sorted(train), dtype=np.intp), np.array(test, dtype=np.intp)
+
+
+def assert_same_indices(got, want):
+    assert got.dtype == want.dtype == np.intp
+    assert np.array_equal(got, want)
+
+
+def random_label_sets(count, seed):
+    """String label lists of 2 to 80 points over 1 to 9 classes of uneven size,
+    singletons included, classes first appearing in random order."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 81))
+        names = [f"c{j}" for j in rng.permutation(int(rng.integers(1, 10)))]
+        weights = rng.dirichlet(np.full(len(names), 0.7))
+        yield [names[j] for j in rng.choice(len(names), size=n, p=weights)]
+
+
+class TestStratifierMatchesReference:
+    EXPERIMENT2_LABELS = [col.emotion for col in audio_columns()]
+
+    def test_split_on_experiment2_labels(self):
+        labels = self.EXPERIMENT2_LABELS
+        n_train = round(len(labels) * 2 / 3)
+        for seed in range(400):
+            got, want = stratified_split(labels, n_train, seed), reference_train_test_split(labels, n_train, seed)
+            assert_same_indices(got[0], want[0])
+            assert_same_indices(got[1], want[1])
+            assert len(got[0]) == n_train
+
+    def test_folds_on_experiment2_labels(self):
+        for seed in range(400):
+            for k in (2, 3, 5):
+                got, got_strat = stratified_folds(self.EXPERIMENT2_LABELS, k, seed)
+                want, want_strat = reference_stratified_folds(self.EXPERIMENT2_LABELS, k, seed)
+                assert got_strat == want_strat
+                for g, w in zip(got, want, strict=True):
+                    assert_same_indices(g, w)
+
+    def test_split_and_folds_on_random_label_sets(self):
+        rng = np.random.default_rng(1)
+        for labels in random_label_sets(750, seed=2):
+            seed = int(rng.integers(2**32))
+            n_train = int(rng.integers(1, len(labels) + 1))
+            got, want = stratified_split(labels, n_train, seed), reference_train_test_split(labels, n_train, seed)
+            assert_same_indices(got[0], want[0])
+            assert_same_indices(got[1], want[1])
+            k = int(rng.integers(2, min(len(labels), 10) + 1))
+            got_folds, got_strat = stratified_folds(labels, k, seed)
+            want_folds, want_strat = reference_stratified_folds(labels, k, seed)
+            assert got_strat == want_strat
+            for g, w in zip(got_folds, want_folds, strict=True):
+                assert_same_indices(g, w)
