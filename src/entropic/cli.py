@@ -33,7 +33,8 @@ from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 _EXPERIMENT = ds.ExperimentConfig()
 _POLYNOMIAL = svm.KernelSpec("polynomial")
 DEFAULTS = {
-    **{key: getattr(_EXPERIMENT, key) for key in ("target_len", "seed", "k", "C", "tol", "kernel")},
+    **{key: getattr(_EXPERIMENT, key) for key in ("target_len", "seed", "k", "C", "tol")},
+    "kernel": None,  # a kernel name; None: the experiment's default kernel
     "sigma": None,  # a gaussian --kernel needs an explicit --sigma
     "degree": _POLYNOMIAL.degree,
     "offset": _POLYNOMIAL.offset,

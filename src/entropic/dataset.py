@@ -191,7 +191,7 @@ def build_entropy_table(
     Rows follow ascending actor id, columns the canonical 60-audio layout.
     Per-file failures are collected (not fatal) and leave their cells NaN;
     jobs > 1 fans the per-file work out to at most as many worker processes
-    as there are files and cores.
+    as there are files and CPUs this process may run on.
     """
     if not records:
         raise DatasetError("no recordings")
@@ -206,8 +206,12 @@ def build_entropy_table(
     paths = [r.path for r in records]
     lengths = [target_len] * len(records)
     # The pool starts all its workers at once, so more than there are files
-    # or cores would only cost process starts.
-    workers = min(jobs, len(records), os.cpu_count() or 1)
+    # or CPUs this process may run on would only cost process starts.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(records), cpus)
     if workers > 1:
         # A few chunks per worker, not one task per file: each task is a
         # round trip through the pool's queues.

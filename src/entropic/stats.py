@@ -52,42 +52,39 @@ class EntropyMatrix:
         return bool(np.isfinite(self.values).all())
 
 
+def _row_correlations(x: np.ndarray) -> np.ndarray:
+    """Pearson correlation of every pair of rows of x, as an n x n array.
+
+    Products are summed one row against all rows at a time, so memory stays
+    O(n * L) for n rows of length L.
+    """
+    if x.shape[1] < 2:
+        raise StatsError("need at least 2 points")
+    x = np.ascontiguousarray(x)  # so each row sum adds pairwise, as a 1-D sum does
+    d = x - x.mean(axis=1, keepdims=True)
+    var = (d * d).sum(axis=1)
+    if np.any(var == 0.0):
+        raise StatsError("correlation undefined for a constant sequence")
+    cov = np.array([(row * d).sum(axis=1) for row in d])
+    return cov / np.sqrt(var[:, None] * var[None, :])
+
+
 def pearson(a: Sequence[float], b: Sequence[float]) -> float:
     """Pearson correlation coefficient cov(a,b) / (sigma_a * sigma_b)."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size != b.size:
         raise StatsError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
-        raise StatsError("need at least 2 points")
-    da = a - a.mean()
-    db = b - b.mean()
-    var_a = (da * da).sum()
-    var_b = (db * db).sum()
-    if var_a == 0.0 or var_b == 0.0:
-        raise StatsError("correlation undefined for a constant sequence")
-    return float((da * db).sum() / np.sqrt(var_a * var_b))
+    return float(_row_correlations(np.stack([a.ravel(), b.ravel()]))[0, 1])
 
 
 def correlation_matrix(m: EntropyMatrix) -> np.ndarray:
-    """Symmetric actor-by-actor Pearson matrix with exact unit diagonal.
-
-    Each cell is computed as :func:`pearson` computes it, so the two agree
-    bit for bit.
-    """
+    """Symmetric actor-by-actor Pearson matrix with exact unit diagonal."""
     if not m.complete:
         raise StatsError("entropy matrix has incomplete rows")
-    n, length = m.values.shape
-    if n < 2:
-        return np.eye(n)
-    if length < 2:
-        raise StatsError("need at least 2 points")
-    values = np.ascontiguousarray(m.values)  # so row sums add pairwise, as pearson's do
-    d = values - values.mean(axis=1, keepdims=True)
-    var = (d * d).sum(axis=1)
-    if np.any(var == 0.0):
-        raise StatsError("correlation undefined for a constant sequence")
-    out = (d[:, None, :] * d[None, :, :]).sum(axis=2) / np.sqrt(var[:, None] * var[None, :])
+    if m.values.shape[0] < 2:
+        return np.eye(m.values.shape[0])
+    out = _row_correlations(m.values)
     np.fill_diagonal(out, 1.0)
     return out
 

@@ -125,8 +125,9 @@ def reference_config_value_ok(key: str, value) -> bool:
 
 def test_defaults_come_from_the_library():
     library = ExperimentConfig()
-    for key in ("target_len", "seed", "k", "C", "tol", "kernel"):
+    for key in ("target_len", "seed", "k", "C", "tol"):
         assert DEFAULTS[key] == getattr(library, key)
+    assert DEFAULTS["kernel"] is None  # a name flag; None: the experiment's own kernel
     poly = KernelSpec("polynomial")
     assert (DEFAULTS["degree"], DEFAULTS["offset"]) == (poly.degree, poly.offset) == (2, 1.0)
 

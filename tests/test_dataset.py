@@ -112,6 +112,16 @@ def _exit_worker(path, target_len):
     os._exit(3)
 
 
+def fake_cpus(monkeypatch, affinity, count):
+    """Pretend this process may run on `affinity` CPUs of the `count` the host
+    has; an affinity of None means the OS has no affinity mask."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
 def write_corpus(tmp_path, actors, samples_by_emotion=None):
     """Synthetic CSV-signal corpus covering the full 60-column layout."""
     records = []
@@ -170,7 +180,7 @@ class TestBuildEntropyTable:
         assert missing_cells(result.matrix) == [(1, "neutral-normal-1-1")]
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool of 2 even on one core
+        fake_cpus(monkeypatch, 2, 2)  # a pool of 2 even on one core
         rng = np.random.default_rng(13)
         signals = {e: rng.normal(size=40).tolist() for e in EMOTIONS}
         records = write_corpus(tmp_path, actors=[1, 2], samples_by_emotion=signals)
@@ -186,21 +196,25 @@ class TestBuildEntropyTable:
 
     def test_dead_worker_is_a_dataset_error(self, tmp_path, monkeypatch):
         records = write_corpus(tmp_path, actors=[1])
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # on one core the pool is skipped
+        fake_cpus(monkeypatch, 2, 2)  # on one core the pool is skipped
         monkeypatch.setattr(dataset, "_entropy_of_file", _exit_worker)
         with pytest.raises(DatasetError, match="worker process died"):
             build_entropy_table(records, jobs=2)
 
-    @pytest.mark.parametrize("jobs,cores,files,workers", [
-        (5000, 4, 10, 4),
-        (5000, 64, 10, 10),
-        (3, 64, 10, 3),
-        (2, 64, 60, 2),
-        (5000, 1, 10, None),
-        (5000, None, 10, None),
-        (1, 64, 10, None),
+    @pytest.mark.parametrize("jobs,affinity,cores,files,workers", [
+        (5000, None, 4, 10, 4),
+        (5000, None, 64, 10, 10),
+        (3, None, 64, 10, 3),
+        (2, None, 64, 60, 2),
+        (5000, None, 1, 10, None),
+        (5000, None, None, 10, None),
+        (1, None, 64, 10, None),
+        (5000, 2, 64, 60, 2),  # pinned to 2 of 64 cores
+        (5000, 1, 64, 10, None),
+        (5000, 8, 64, 10, 8),
     ])
-    def test_jobs_bounded_by_files_and_cores(self, tmp_path, monkeypatch, jobs, cores, files, workers):
+    def test_jobs_bounded_by_files_and_cores(self, tmp_path, monkeypatch, jobs, affinity, cores,
+                                             files, workers):
         pools = []
 
         class SerialPool:
@@ -222,7 +236,7 @@ class TestBuildEntropyTable:
 
         records = write_corpus(tmp_path, actors=[1])[:files]
         serial = build_entropy_table(records)
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        fake_cpus(monkeypatch, affinity, cores)
         monkeypatch.setattr(dataset.concurrent.futures, "ProcessPoolExecutor", SerialPool)
         result = build_entropy_table(records, jobs=jobs)
         if workers is None:

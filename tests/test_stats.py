@@ -43,6 +43,42 @@ class TestPearson:
         with pytest.raises(StatsError):
             pearson([1, 2], [1, 2, 3])
 
+    def test_too_short_rejected(self):
+        for a in ([], [1.0]):
+            for fn in (pearson, reference_pearson):
+                with pytest.raises(StatsError, match="at least 2 points"):
+                    fn(a, a)
+
+    def test_bit_identical_to_reference(self):
+        rng = np.random.default_rng(17)
+        for case in range(300):
+            a, b = rng.normal(size=(2, int(rng.integers(2, 90))))
+            if case % 3 == 0:
+                a, b = np.round(a, 1), np.round(b, 1)
+                a[:2] = b[:2] = [-1.0, 1.0]
+            scale = 10.0 ** rng.integers(-6, 7)
+            a, b = a * scale + rng.normal() * 100, b * scale
+            got, want = pearson(a.tolist(), b.tolist()), reference_pearson(a.tolist(), b.tolist())
+            assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64), case
+
+
+def reference_pearson(a, b):
+    """pearson as it was before it shared its arithmetic with
+    correlation_matrix, kept as the reference it must match bit for bit."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.size != b.size:
+        raise StatsError(f"length mismatch: {a.size} vs {b.size}")
+    if a.size < 2:
+        raise StatsError("need at least 2 points")
+    da = a - a.mean()
+    db = b - b.mean()
+    var_a = (da * da).sum()
+    var_b = (db * db).sum()
+    if var_a == 0.0 or var_b == 0.0:
+        raise StatsError("correlation undefined for a constant sequence")
+    return float((da * db).sum() / np.sqrt(var_a * var_b))
+
 
 class TestCorrelationMatrix:
     def test_identical_rows_give_unit_offdiagonal(self):
@@ -93,6 +129,8 @@ class TestCorrelationMatrix:
             values = values * 10.0 ** rng.integers(-6, 7) + rng.normal() * 100
             if case % 5 == 0 and n > 1:
                 values[1] = values[0]  # an exactly identical pair
+            if case % 7 == 0:
+                values = np.asfortranarray(values)  # rows not contiguous
             m = any_shape_matrix(values)
             got, want = correlation_matrix(m), reference_correlation_matrix(m)
             assert got.shape == want.shape
@@ -119,8 +157,9 @@ def any_shape_matrix(values):
 
 
 def reference_correlation_matrix(m):
-    """The double loop over pearson that correlation_matrix replaced, kept as
-    the reference it must match bit for bit."""
+    """The double loop over pearson that correlation_matrix replaced, with
+    pearson's own former arithmetic, kept as the reference it must match bit
+    for bit."""
     if not m.complete:
         raise StatsError("entropy matrix has incomplete rows")
     values = m.values
@@ -128,7 +167,7 @@ def reference_correlation_matrix(m):
     out = np.eye(n)
     for i in range(n):
         for j in range(i + 1, n):
-            r = pearson(values[i], values[j])
+            r = reference_pearson(values[i], values[j])
             out[i, j] = out[j, i] = r
     return out
 
