@@ -40,6 +40,8 @@ DEFAULTS = {
     "offset": _POLYNOMIAL.offset,
     "jobs": 1,
 }
+# The smallest valid value of an option, checked once before any input is read.
+_MINIMUM = {"target_len": 2, "seed": 0}
 
 
 def _config_value_ok(key: str, value) -> bool:
@@ -78,6 +80,9 @@ def _effective_config(config_path: str | None, flags: dict) -> dict:
                 raise click.UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         cfg.update(file_cfg)
     cfg.update({k: v for k, v in flags.items() if v is not None})
+    for key, low in _MINIMUM.items():
+        if cfg[key] < low:
+            raise click.UsageError(f"--{key.replace('_', '-')} must be at least {low}, got {cfg[key]}")
     return cfg
 
 

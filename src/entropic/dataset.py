@@ -169,7 +169,7 @@ def scan_ravdess_tree(root) -> list[RecordingMeta]:
 def _entropy_of_file(path: str, target_len: int) -> tuple[bool, float | str]:
     """(True, entropy) for one recording, or (False, the reason it failed)."""
     try:
-        signal = load_csv_signal(path) if path.endswith(".csv") else load_wav(path)
+        signal = load_csv_signal(path) if path.endswith(".csv") else load_wav(path, target_len)
         return True, signal_entropy(signal, target_len)
     except Exception as exc:  # one bad file must not stop the run
         return False, str(exc)

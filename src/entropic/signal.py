@@ -7,6 +7,7 @@ height, as required by the sublevel-set filtration downstream.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,12 +22,16 @@ class Signal:
     """An ordered sequence of finite real amplitudes.
 
     ``sample_rate`` is samples/second; 0 is allowed for rate-less CSV input.
-    Audio loaders normalize amplitudes to [-1, 1].
+    Audio loaders normalize amplitudes to [-1, 1]. ``levels``, if given,
+    holds one integer per sample that orders exactly like the samples (the
+    raw frames of mono 8- and 16-bit PCM); ``canonicalize`` ranks the levels
+    instead of the floats and rejects levels that order otherwise.
     """
 
     samples: np.ndarray
     sample_rate: float = 0.0
     source_id: str = ""
+    levels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -36,6 +41,12 @@ class Signal:
             raise SignalError("signal contains NaN or Inf amplitudes")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        if self.levels is not None:
+            levels = np.asarray(self.levels)
+            if levels.shape != samples.shape or levels.dtype.kind not in "iu":
+                raise SignalError("levels must hold one integer per sample")
+            levels.setflags(write=False)
+            object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -63,6 +74,112 @@ class CanonicalSignal:
         return self.samples.size
 
 
+def _subsample_indices(n: int, target_len: int) -> np.ndarray:
+    """round_half_up(k*(n-1)/(target_len-1)) for k = 0..target_len-1."""
+    if target_len < 2:
+        raise SignalError("target_len must be at least 2")
+    if target_len > n:
+        raise SignalError(f"cannot upsample: target_len {target_len} > signal length {n}")
+    k = np.arange(target_len, dtype=np.float64)
+    return np.floor(k * (n - 1) / (target_len - 1) + 0.5).astype(np.intp)
+
+
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# A WAVE_FORMAT_EXTENSIBLE sub-format GUID {XXXXXXXX-0000-0010-8000-00AA00389B71}
+# holds a plain format tag in its first 4 bytes (RFC 2361). Its last 12 bytes,
+# by the file's byte order, which its first three fields follow:
+_GUID_TAIL = {"<": bytes.fromhex("00001000800000aa00389b71"),
+              ">": bytes.fromhex("00000010800000aa00389b71")}
+
+
+def _wav_format(raw: bytes, pos: int, size: int, end: str, path) -> tuple[int, int, np.dtype]:
+    """Sample rate, channels and sample dtype of the fmt chunk at ``pos``.
+
+    24-bit PCM gets the 3-byte dtype V3, which the caller widens.
+    """
+    if size < 16:
+        raise SignalError(f"fmt chunk too short in {path}")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from(end + "HHIIHH", raw, pos)
+    if (tag == _EXTENSIBLE and size >= 40 and struct.unpack_from(end + "H", raw, pos + 16)[0] >= 22
+            and raw[pos + 28:pos + 40] == _GUID_TAIL[end]):
+        tag = struct.unpack_from(end + "I", raw, pos + 24)[0]
+    width = block_align // channels if channels else 0
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise SignalError(f"WAV header is invalid (byte rate != sample rate * block align): {path}")
+    if width * channels != block_align or width == 0:
+        raise SignalError(f"WAV block align {block_align} does not fit {channels} channels: {path}")
+    if tag == _PCM and bits <= 8 and width == 1:
+        return rate, channels, np.dtype(np.uint8)
+    if tag == _PCM and bits > 8 and width in (2, 3, 4):
+        return rate, channels, np.dtype("V3" if width == 3 else f"{end}i{width}")
+    if tag == _IEEE_FLOAT and bits in (32, 64) and width in (4, 8):
+        return rate, channels, np.dtype(f"{end}f{width}")
+    raise SignalError(f"unsupported WAV sample format (tag {tag:#x}, {bits} bits in "
+                      f"{width} bytes) in {path}")
+
+
+def _read_wav(path, target_len: int | None) -> tuple[int, np.ndarray]:
+    """Sample rate and frames of a WAV file, as native integers or floats.
+
+    Reads RIFF and RF64 (little-endian) and RIFX (big-endian) WAVE files of
+    PCM or IEEE-float samples, from a plain or WAVE_FORMAT_EXTENSIBLE fmt
+    chunk; other chunks are skipped. A data chunk cut short keeps its whole
+    frames. Frames are (n,) for one channel and (n, channels) for more. 8-bit
+    PCM is unsigned, and 24-bit PCM is widened to int32 as x * 256. With
+    ``target_len`` < n, only the frames ``subsample`` keeps are converted.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise SignalError(f"cannot read WAV file {path}: {exc}")
+    form = raw[:4]
+    if form not in (b"RIFF", b"RIFX", b"RF64") or raw[8:12] != b"WAVE":
+        raise SignalError(f"not a RIFF, RIFX or RF64 WAVE file: {path}")
+    end = ">" if form == b"RIFX" else "<"
+    fmt = rf64_size = None
+    pos = 12
+    try:
+        while pos + 8 <= len(raw):
+            chunk, (size,) = raw[pos:pos + 4], struct.unpack_from(end + "I", raw, pos + 4)
+            pos += 8
+            if chunk == b"data":
+                break
+            if chunk == b"fmt ":
+                fmt = _wav_format(raw, pos, size, end, path)
+            elif chunk == b"ds64" and form == b"RF64":
+                rf64_size = struct.unpack_from("<Q", raw, pos + 8)[0]
+            pos += size + (size & 1)
+        else:
+            raise SignalError(f"no data chunk in {path}")
+    except struct.error:
+        raise SignalError(f"corrupt WAV header in {path}")
+    if fmt is None:
+        raise SignalError(f"no fmt chunk before the data chunk in {path}")
+    if form == b"RF64":
+        if rf64_size is None:
+            raise SignalError(f"RF64 file without a ds64 chunk: {path}")
+        size = rf64_size
+    rate, channels, dtype = fmt
+    n = min(size, len(raw) - pos) // (channels * dtype.itemsize)
+    if n == 0:
+        raise SignalError(f"zero-length audio: {path}")
+    # A view of the file's bytes: only the kept frames are ever copied.
+    frames = np.frombuffer(raw, dtype=dtype, count=n * channels, offset=pos)
+    if channels > 1:
+        frames = frames.reshape(n, channels)
+    if dtype.kind == "f" and np.isnan(frames).any():
+        raise SignalError(f"NaN amplitude in {path}")
+    if target_len is not None and target_len < n:
+        frames = frames[_subsample_indices(n, target_len)]
+    if dtype.kind == "V":
+        wide = np.zeros(frames.shape + (4,), dtype=np.uint8)
+        wide[..., slice(1, 4) if end == "<" else slice(0, 3)] = (
+            frames.view(np.uint8).reshape(frames.shape + (3,)))
+        return rate, wide.view(end + "i4")[..., 0].astype(np.int32, copy=False)
+    return rate, frames.astype(dtype.newbyteorder("="), copy=False)
+
+
 def _normalize_int(frames: np.ndarray, max_magnitude: float) -> np.ndarray:
     # Multi-channel input is averaged per frame before renormalizing, so a
     # stereo frame (1000, 3000) at 16 bit becomes 2000/32768.
@@ -75,21 +192,15 @@ def _normalize_int(frames: np.ndarray, max_magnitude: float) -> np.ndarray:
     return frames
 
 
-def load_wav(path) -> Signal:
-    """Load a PCM or IEEE-float WAV file as a mono Signal in [-1, 1]."""
-    # Imported here: scipy.io pulls in scipy.sparse and the MATLAB readers,
-    # about 0.25 s that commands reading no WAV should not pay.
-    from scipy.io import wavfile
+def load_wav(path, target_len: int | None = None) -> Signal:
+    """Load a PCM or IEEE-float WAV file as a mono Signal in [-1, 1].
 
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise SignalError(f"cannot read WAV file: {path}")
-    except Exception as exc:  # scipy raises ValueError for compressed WAV
-        raise SignalError(f"unsupported or corrupt WAV file {path}: {exc}")
-    if data.size == 0:
-        raise SignalError(f"zero-length audio: {path}")
-
+    With ``target_len``, only the frames that ``subsample`` keeps are
+    converted: the result equals ``subsample(load_wav(path), min(target_len,
+    n))`` for a file of n frames. A float file with NaN in any frame is
+    rejected. Mono 8- and 16-bit PCM also carries its frames as ``levels``.
+    """
+    rate, data = _read_wav(path, target_len)
     if data.dtype == np.uint8:  # 8-bit WAV is unsigned
         frames = data.astype(np.float64)
         if frames.ndim == 2:
@@ -98,17 +209,15 @@ def load_wav(path) -> Signal:
     elif data.dtype == np.int16:
         samples = _normalize_int(data, 32768.0)
     elif data.dtype == np.int32:
-        # scipy widens 24-bit PCM into int32, so one divisor covers both.
+        # 24-bit PCM is widened into int32, so one divisor covers both.
         samples = _normalize_int(data, 2147483648.0)
-    elif data.dtype in (np.float32, np.float64):
+    else:
         frames = data.astype(np.float64)
         if frames.ndim == 2:
             frames = frames.mean(axis=1)
         samples = np.clip(frames, -1.0, 1.0)
-    else:
-        raise SignalError(f"unsupported WAV sample format {data.dtype} in {path}")
-
-    return Signal(samples=samples, sample_rate=float(rate), source_id=str(path))
+    levels = data if data.ndim == 1 and data.dtype in (np.uint8, np.int16) else None
+    return Signal(samples=samples, sample_rate=float(rate), source_id=str(path), levels=levels)
 
 
 def load_csv_signal(path) -> Signal:
@@ -141,32 +250,41 @@ def subsample(s: Signal, target_len: int) -> Signal:
     which preserves the first and last sample and is deterministic.
     Upsampling is refused.
     """
-    n = len(s)
-    if target_len < 2:
-        raise SignalError("target_len must be at least 2")
-    if target_len > n:
-        raise SignalError(f"cannot upsample: target_len {target_len} > signal length {n}")
-    k = np.arange(target_len, dtype=np.float64)
-    idx = np.floor(k * (n - 1) / (target_len - 1) + 0.5).astype(np.intp)
-    return Signal(samples=s.samples[idx], sample_rate=s.sample_rate, source_id=s.source_id)
+    if target_len == len(s) >= 2:
+        return s  # the indices are 0..n-1
+    idx = _subsample_indices(len(s), target_len)
+    levels = None if s.levels is None else s.levels[idx]
+    return Signal(samples=s.samples[idx], sample_rate=s.sample_rate, source_id=s.source_id,
+                  levels=levels)
 
 
 def canonicalize(s: Signal) -> CanonicalSignal:
     """Assign each sample a unique rank, ordered by (value, index).
 
-    The first quicksort groups equal values (in no particular order within
-    a group) and numbers the groups densely; the second sorts the distinct
-    keys dense * n + index, whose order is the (value, index) order. Two
-    SIMD quicksorts take less than half the time of one stable sort.
+    With ``levels``, one stable argsort of them gives that order (a radix
+    sort for 8- and 16-bit integers), checked in O(n) against the samples.
+    Otherwise, the first quicksort groups equal values (in no particular
+    order within a group) and numbers the groups densely; the second sorts
+    the distinct keys dense * n + index, whose order is the (value, index)
+    order. Two SIMD quicksorts take less than half the time of one stable
+    sort of floats.
     """
     samples = s.samples
     n = samples.size
+    rank = np.empty(n, dtype=np.intp)
+    if s.levels is not None:
+        order = np.argsort(s.levels, kind="stable")
+        levels, ascending = s.levels[order], samples[order]
+        if ((ascending[1:] < ascending[:-1]).any()
+                or not np.array_equal(ascending[1:] > ascending[:-1], levels[1:] != levels[:-1])):
+            raise SignalError("levels do not order like the samples")
+        rank[order] = np.arange(n)
+        return CanonicalSignal(samples=samples, tie_rank=rank)
     order = samples.argsort()
     ascending = samples[order]
     dense = np.zeros(n, dtype=np.intp)
     np.cumsum(ascending[1:] != ascending[:-1], out=dense[1:])
     keys = dense * n + order
     keys.sort()
-    rank = np.empty(n, dtype=np.intp)
     rank[keys % n] = np.arange(n)
     return CanonicalSignal(samples=samples, tie_rank=rank)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -282,10 +283,80 @@ class TestKernelsCommand:
         assert len(doc["table"]) == 8 * 4  # 8 kernels x 4 C values
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.io costs about 0.25 s per process; only WAV decoding needs it.
-    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
-    code = "import sys, entropic.cli; print('scipy' in sys.modules)"
+def write_wav_tree(root, seed=0):
+    """Two RAVDESS-named 16-bit mono WAVs of one actor; returns their paths."""
+    rng = np.random.default_rng(seed)
+    (root / "Actor_01").mkdir(parents=True)
+    paths = []
+    for name in ("03-01-01-01-01-01-01.wav", "03-01-03-01-01-01-01.wav"):
+        paths.append(root / "Actor_01" / name)
+        with wave.open(str(paths[-1]), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(rng.integers(-3000, 3000, 500).astype("<i2").tobytes())
+    return paths
+
+
+def test_wav_commands_run_without_scipy(tmp_path):
+    # scipy is a test-only dependency. It is blocked in the process, and a
+    # module named scipy that fails to import shadows it for pool workers
+    # started from a fresh interpreter.
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "scipy.py").write_text("raise ImportError('scipy is not a runtime dependency')\n")
+    wavs = write_wav_tree(tmp_path / "corpus")
+    code = f"""
+import os, sys
+sys.modules["scipy"] = None
+os.sched_getaffinity = lambda pid: {{0, 1}}  # a pool of two even on one core
+import numpy as np
+from entropic.cli import main
+from entropic.dataset import build_entropy_table, scan_ravdess_tree
+result = build_entropy_table(scan_ravdess_tree({str(tmp_path / "corpus")!r}), target_len=100, jobs=2)
+assert not result.failures, result.failures
+print("cells", int(np.isfinite(result.matrix.values).sum()))
+main(["entropy", {str(wavs[0])!r}])
+"""
+    src_dir = Path(entropic.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(blocked), str(src_dir)]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    lines = proc.stdout.strip().split("\n")
+    assert lines[0] == "cells 2"
+    assert lines[1] == "path,samples,subsampled_to,bars,entropy"
+    assert lines[2].startswith(f"{wavs[0]},500,500,")
+
+
+def _invoke_with(runner, args, key, value, via, tmp_path):
+    """Run a command with one option given as a flag, a --config key or an
+    ENTROPIC_<COMMAND>_<OPTION> environment variable."""
+    if via == "flag":
+        return runner.invoke(main, args + [f"--{key.replace('_', '-')}", str(value)])
+    if via == "config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        return runner.invoke(main, args + ["--config", str(cfg)])
+    env = {f"ENTROPIC_{args[0].upper()}_{key.upper()}": str(value)}
+    return CliRunner(env=env).invoke(main, args)
+
+
+@pytest.mark.parametrize("via", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", [["entropy"], ["barcode"], ["experiment", "2"], ["kernels", "2"]])
+@pytest.mark.parametrize("value", [1, 0, -3])
+def test_target_len_below_two_is_a_usage_error(runner, tmp_path, via, command, value):
+    wavs = write_wav_tree(tmp_path / "corpus")
+    inputs = [str(wavs[0])] if command[0] in ("entropy", "barcode") else [str(tmp_path / "corpus")]
+    result = _invoke_with(runner, command + inputs, "target_len", value, via, tmp_path)
+    assert result.exit_code == 2, result.output
+    assert result.output.count(f"--target-len must be at least 2, got {value}") == 1
+    assert "error:" not in result.output and "warning:" not in result.output  # no file was read
+
+
+@pytest.mark.parametrize("via", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", [["experiment", "2"], ["kernels", "2"]])
+def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, via, command):
+    result = _invoke_with(runner, command + [str(table_csv)], "seed", -1, via, tmp_path)
+    assert result.exit_code == 2, result.output
+    assert "--seed must be at least 0, got -1" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -1,5 +1,4 @@
 import struct
-import wave
 
 import numpy as np
 import pytest
@@ -9,14 +8,113 @@ from entropic.errors import SignalError
 from entropic.signal import Signal, canonicalize, load_csv_signal, load_wav, subsample
 
 
-def write_wav(path, frames, sampwidth=2, channels=1, rate=8000):
-    fmt = {1: "b", 2: "h", 4: "i"}[sampwidth]
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(channels)
-        wf.setsampwidth(sampwidth)
-        wf.setframerate(rate)
-        flat = [v for frame in frames for v in (frame if isinstance(frame, tuple) else (frame,))]
-        wf.writeframes(struct.pack(f"<{len(flat)}{fmt}", *flat))
+def _reference_normalize_int(frames, max_magnitude):
+    frames = frames.astype(np.float64)
+    if frames.ndim == 2:
+        frames = frames.mean(axis=1)
+    frames /= max_magnitude
+    return frames
+
+
+def reference_load_wav(path) -> Signal:
+    """The scipy-based load_wav that the built-in WAV reader replaced, kept
+    as it was: the reader must give the same samples, bit for bit."""
+    try:
+        rate, data = wavfile.read(path)
+    except FileNotFoundError:
+        raise SignalError(f"cannot read WAV file: {path}")
+    except Exception as exc:  # scipy raises ValueError for compressed WAV
+        raise SignalError(f"unsupported or corrupt WAV file {path}: {exc}")
+    if data.size == 0:
+        raise SignalError(f"zero-length audio: {path}")
+
+    if data.dtype == np.uint8:  # 8-bit WAV is unsigned
+        frames = data.astype(np.float64)
+        if frames.ndim == 2:
+            frames = frames.mean(axis=1)
+        samples = (frames - 128.0) / 128.0
+    elif data.dtype == np.int16:
+        samples = _reference_normalize_int(data, 32768.0)
+    elif data.dtype == np.int32:
+        samples = _reference_normalize_int(data, 2147483648.0)
+    elif data.dtype in (np.float32, np.float64):
+        frames = data.astype(np.float64)
+        if frames.ndim == 2:
+            frames = frames.mean(axis=1)
+        samples = np.clip(frames, -1.0, 1.0)
+    else:
+        raise SignalError(f"unsupported WAV sample format {data.dtype} in {path}")
+
+    return Signal(samples=samples, sample_rate=float(rate), source_id=str(path))
+
+
+_GUID_TAIL = {"<": bytes.fromhex("00001000800000aa00389b71"),
+              ">": bytes.fromhex("00000010800000aa00389b71")}
+
+
+def build_wav(path, frames, *, bits=None, big_endian=False, extensible=False, rf64=False,
+              before=(), after=(), cut=0, rate=8000, fmt_fields=None):
+    """Write a WAV file byte by byte.
+
+    ``frames`` is (n, channels) in the sample dtype (uint8, int16, int32,
+    float32, float64); with bits=24 it holds int32 values in [-2**23, 2**23).
+    ``before``/``after`` are extra (id, body) chunks around the data chunk,
+    ``cut`` drops that many bytes from the end of the file, and
+    ``fmt_fields`` overrides (tag, channels, rate, byte rate, block align, bits).
+    """
+    end = ">" if big_endian else "<"
+    n, channels = frames.shape
+    if bits == 24:
+        b = frames.astype(end + "i4").view(np.uint8).reshape(n, channels, 4)
+        payload, width = (b[..., 1:] if big_endian else b[..., :3]).tobytes(), 3
+    else:
+        payload = frames.astype(frames.dtype.newbyteorder(end)).tobytes()
+        width = frames.dtype.itemsize
+    bits = bits or 8 * width
+    tag = 3 if frames.dtype.kind == "f" else 1
+    block = width * channels
+    fields = fmt_fields or (tag, channels, rate, rate * block, block, bits)
+    fmt = struct.pack(end + "HHIIHH", 0xFFFE if extensible else fields[0], *fields[1:])
+    if extensible:
+        fmt += struct.pack(end + "HHII", 22, bits, 0, fields[0]) + _GUID_TAIL[end]
+
+    def chunk(cid, body, size=None):
+        size = len(body) if size is None else size
+        return cid + struct.pack(end + "I", size) + body + b"\0" * (len(body) % 2)
+
+    data = chunk(b"data", payload, 0xFFFFFFFF if rf64 else None)
+    body = b"".join(chunk(c, b) for c, b in before) + chunk(b"fmt ", fmt) + data
+    body += b"".join(chunk(c, b) for c, b in after)
+    if rf64:
+        ds64 = chunk(b"ds64", struct.pack("<QQQI", 4 + 36 + len(body), len(payload), n, 0))
+        raw = b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + body
+    else:
+        raw = (b"RIFX" if big_endian else b"RIFF") + struct.pack(end + "I", 4 + len(body)) + b"WAVE" + body
+    path.write_bytes(raw[:len(raw) - cut])
+    return path
+
+
+def sample_frames(kind, n, channels, seed=0):
+    """Random frames of one sample kind, covering its full range and some ties."""
+    rng = np.random.default_rng(seed)
+    if kind == "u8":
+        return rng.integers(0, 256, (n, channels)).astype(np.uint8)
+    if kind == "i16":
+        return rng.integers(-32768, 32768, (n, channels)).astype(np.int16)
+    if kind == "i24":
+        return rng.integers(-2**23, 2**23, (n, channels)).astype(np.int32)
+    if kind == "i32":
+        return rng.integers(-2**31, 2**31, (n, channels)).astype(np.int32)
+    dtype = np.float32 if kind == "f32" else np.float64
+    return (rng.uniform(-1.3, 1.3, (n, channels)) * rng.integers(0, 2, (n, 1))).astype(dtype)
+
+
+KINDS = ("u8", "i16", "i24", "i32", "f32", "f64")
+
+
+def assert_same_signal(got: Signal, want: Signal):
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.sample_rate == want.sample_rate
 
 
 class TestSignal:
@@ -33,24 +131,29 @@ class TestSignal:
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
 
+    @pytest.mark.parametrize("levels", [np.array([1, 2, 3]), np.array([1.0, 2.0]), np.array([[1, 2]])])
+    def test_levels_are_one_integer_per_sample(self, levels):
+        with pytest.raises(SignalError, match="levels"):
+            Signal(np.array([1.0, 2.0]), levels=levels)
+
 
 class TestLoadWav:
     def test_16bit_mono_normalization(self, tmp_path):
         path = tmp_path / "mono.wav"
-        write_wav(path, [0, 16384, -32768])
+        build_wav(path, np.array([[0], [16384], [-32768]], dtype=np.int16))
         s = load_wav(path)
         assert np.allclose(s.samples, [0.0, 0.5, -1.0])
         assert s.sample_rate == 8000
 
     def test_stereo_averaged_per_frame(self, tmp_path):
         path = tmp_path / "stereo.wav"
-        write_wav(path, [(1000, 3000)], channels=2)
+        build_wav(path, np.array([[1000, 3000]], dtype=np.int16))
         s = load_wav(path)
         assert np.allclose(s.samples, [2000 / 32768])
 
     def test_zero_length_audio(self, tmp_path):
         path = tmp_path / "empty.wav"
-        write_wav(path, [])
+        build_wav(path, np.zeros((0, 1), dtype=np.int16))
         with pytest.raises(SignalError, match="zero-length"):
             load_wav(path)
 
@@ -69,6 +172,139 @@ class TestLoadWav:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SignalError):
             load_wav(tmp_path / "nope.wav")
+
+
+class TestWavDecoder:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("big_endian", [False, True])
+    @pytest.mark.parametrize("extensible", [False, True])
+    def test_same_samples_as_reference(self, tmp_path, kind, channels, big_endian, extensible):
+        frames = sample_frames(kind, 101, channels, seed=channels)
+        bits = 24 if kind == "i24" else None
+        options = dict(bits=bits, extensible=extensible)
+        path = build_wav(tmp_path / "x.wav", frames, big_endian=big_endian, **options)
+        # The reference rejects big-endian samples wider than a byte, so a
+        # RIFX file is held to the reference on its RIFF twin.
+        twin = build_wav(tmp_path / "twin.wav", frames, **options)
+        want = reference_load_wav(twin)
+        assert_same_signal(load_wav(path), want)
+        for target_len in (2, 37, 100):
+            assert_same_signal(load_wav(path, target_len), subsample(want, target_len))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("layout", ["list_chunks", "odd_pad", "truncated", "rf64"])
+    def test_chunk_layouts_match_reference(self, tmp_path, kind, layout):
+        bits = 24 if kind == "i24" else None
+        frames = sample_frames(kind, 99, 2 if layout == "truncated" else 1, seed=7)
+        width = 3 if bits else frames.dtype.itemsize
+        options = {
+            "list_chunks": dict(before=[(b"LIST", b"INFOISFT\x06\0\0\0abcdef")],
+                                after=[(b"LIST", b"INFO")]),
+            "odd_pad": dict(before=[(b"JUNK", b"x" * 5), (b"bext", b"abc")], after=[(b"LIST", b"odd")]),
+            "truncated": dict(cut=2 * width * 10),  # 10 whole stereo frames missing
+            "rf64": dict(rf64=True),
+        }[layout]
+        path = build_wav(tmp_path / "x.wav", frames, bits=bits, **options)
+        want = reference_load_wav(path)
+        assert len(want) == (89 if layout == "truncated" else 99)
+        assert_same_signal(load_wav(path), want)
+        assert_same_signal(load_wav(path, 50), subsample(want, 50))
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_truncated_mid_sample(self, tmp_path):
+        path = build_wav(tmp_path / "x.wav", sample_frames("i16", 40, 1), cut=3)
+        want = reference_load_wav(path)
+        assert len(want) == 38
+        assert_same_signal(load_wav(path), want)
+
+    @pytest.mark.parametrize("kind", ["u8", "i16", "i24", "f32"])
+    def test_kept_frames_equal_subsample(self, tmp_path, kind):
+        n = 257
+        for channels in (1, 2):
+            frames = sample_frames(kind, n, channels, seed=3)
+            path = build_wav(tmp_path / f"{channels}.wav", frames, bits=24 if kind == "i24" else None)
+            full = load_wav(path)
+            for target_len in (2, 3, n - 1, n, n + 1):
+                kept = load_wav(path, target_len)
+                want = subsample(full, min(target_len, n))
+                assert_same_signal(kept, want)
+                assert (kept.levels is None) == (want.levels is None)
+                if kept.levels is not None:
+                    assert np.array_equal(kept.levels, want.levels)
+
+    def test_levels_only_for_mono_8_and_16_bit(self, tmp_path):
+        for kind in KINDS:
+            for channels in (1, 2):
+                frames = sample_frames(kind, 20, channels)
+                s = load_wav(build_wav(tmp_path / "x.wav", frames, bits=24 if kind == "i24" else None))
+                assert (s.levels is not None) == (channels == 1 and kind in ("u8", "i16"))
+                if s.levels is not None:
+                    assert np.array_equal(s.levels, frames[:, 0])
+                    assert not s.levels.flags.writeable
+
+    @pytest.mark.parametrize("target_len", [None, 2])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_nan_in_any_frame_fails(self, tmp_path, target_len, channels):
+        frames = sample_frames("f32", 9, channels)
+        frames[4, channels - 1] = np.nan  # a frame that target_len 2 does not keep
+        path = build_wav(tmp_path / "nan.wav", frames)
+        with pytest.raises(SignalError, match="NaN"):
+            load_wav(path, target_len)
+
+    def test_infinity_is_clipped_as_before(self, tmp_path):
+        frames = np.array([[np.inf], [0.25], [-np.inf]], dtype=np.float32)
+        path = build_wav(tmp_path / "inf.wav", frames)
+        assert_same_signal(load_wav(path), reference_load_wav(path))
+
+    @pytest.mark.parametrize("mutation", [
+        "empty_file", "bad_magic", "not_wave", "no_fmt", "no_data", "short_fmt", "cut_in_fmt",
+        "adpcm", "unknown_guid", "bad_byte_rate", "zero_channels", "odd_block_align",
+        "float16", "pcm_64bit", "rf64_without_ds64", "zero_frames",
+    ])
+    def test_malformed_header_is_a_signal_error(self, tmp_path, mutation):
+        frames = sample_frames("i16", 8, 1)
+        path = tmp_path / "bad.wav"
+        good = build_wav(tmp_path / "good.wav", frames).read_bytes()
+        fmt_at = good.index(b"fmt ")
+        if mutation == "empty_file":
+            path.write_bytes(b"")
+        elif mutation == "bad_magic":
+            path.write_bytes(b"RIFS" + good[4:])
+        elif mutation == "not_wave":
+            path.write_bytes(good[:8] + b"AVI " + good[12:])
+        elif mutation == "no_fmt":
+            path.write_bytes(good[:fmt_at] + b"fmx " + good[fmt_at + 4:])
+        elif mutation == "no_data":
+            path.write_bytes(good.replace(b"data", b"date"))
+        elif mutation == "short_fmt":
+            build_wav(path, frames, before=[(b"fmt ", b"\1\0\1\0")])
+        elif mutation == "cut_in_fmt":
+            path.write_bytes(good[:fmt_at + 14])
+        elif mutation == "adpcm":
+            build_wav(path, frames, fmt_fields=(2, 1, 8000, 16000, 2, 16))
+        elif mutation == "unknown_guid":
+            raw = build_wav(path, frames, extensible=True).read_bytes()
+            path.write_bytes(raw.replace(_GUID_TAIL["<"], b"\x01" * 12))
+        elif mutation == "bad_byte_rate":
+            build_wav(path, frames, fmt_fields=(1, 1, 8000, 8001, 2, 16))
+        elif mutation == "zero_channels":
+            build_wav(path, frames, fmt_fields=(1, 0, 8000, 16000, 2, 16))
+        elif mutation == "odd_block_align":
+            build_wav(path, sample_frames("i16", 8, 2), fmt_fields=(1, 2, 8000, 40000, 5, 16))
+        elif mutation == "float16":
+            build_wav(path, frames, fmt_fields=(3, 1, 8000, 16000, 2, 16))
+        elif mutation == "pcm_64bit":
+            build_wav(path, frames.astype(np.int64))
+        elif mutation == "rf64_without_ds64":
+            raw = build_wav(path, frames, rf64=True).read_bytes()
+            path.write_bytes(raw.replace(b"ds64", b"JUNK"))
+        elif mutation == "zero_frames":
+            build_wav(path, frames[:0])
+        with pytest.raises(SignalError):
+            load_wav(path)
 
 
 class TestLoadCsv:
@@ -155,6 +391,32 @@ class TestCanonicalize:
             c = canonicalize(Signal(vals))
             oracle = np.argsort(np.argsort(vals, kind="stable"))
             assert np.array_equal(c.tie_rank, oracle)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
+    def test_levels_rank_like_the_samples(self, tmp_path, dtype):
+        rng = np.random.default_rng(5)
+        info = np.iinfo(dtype)
+        for span in (1, 2, 3, 7, 100, None):  # tie-heavy to full range
+            low = info.min if span is None else int(rng.integers(info.min, info.max - span))
+            high = info.max + 1 if span is None else low + span
+            frames = rng.integers(low, high, (int(rng.integers(2, 3000)), 1)).astype(dtype)
+            s = load_wav(build_wav(tmp_path / "x.wav", frames))
+            assert s.levels is not None
+            float_path = canonicalize(Signal(s.samples))
+            assert np.array_equal(canonicalize(s).tie_rank, float_path.tie_rank)
+            kept = subsample(s, max(2, len(s) // 3))
+            assert np.array_equal(canonicalize(kept).tie_rank, canonicalize(Signal(kept.samples)).tie_rank)
+
+    @pytest.mark.parametrize("samples, levels", [
+        ([0.1, 0.2, 0.3], [3, 2, 1]),  # reversed
+        ([0.1, 0.2, 0.3], [1, 1, 2]),  # tie where the samples differ
+        ([0.1, 0.1, 0.3], [1, 2, 3]),  # step where the samples tie
+        ([0.2, 0.1, 0.3], [1, 1, 2]),  # tie where the samples fall
+        ([0.5, 0.1, 0.5], [2, 1, 3]),
+    ])
+    def test_levels_that_order_otherwise_are_rejected(self, samples, levels):
+        with pytest.raises(SignalError, match="levels do not order"):
+            canonicalize(Signal(np.array(samples), levels=np.array(levels, dtype=np.int16)))
 
     def test_ranks_are_a_bijection(self):
         rng = np.random.default_rng(3)
