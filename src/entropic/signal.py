@@ -221,26 +221,39 @@ def load_wav(path, target_len: int | None = None) -> Signal:
 
 
 def load_csv_signal(path) -> Signal:
-    """Load a signal from a text file with one decimal value per line."""
-    values = []
+    """Load a signal from a text file with one decimal value per line.
+
+    Each non-blank line is one Python ``float`` literal; blank lines are
+    skipped. The values are parsed in one pass and checked for finiteness at
+    once; only a file that fails is read again line by line, to name the
+    first bad line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise SignalError(f"{path}: non-numeric value at line {lineno}: {text!r}")
-                if not np.isfinite(value):
-                    raise SignalError(f"{path}: non-finite value at line {lineno}")
-                values.append(value)
-    except OSError as exc:
+            # The lines iterating fh gives; str.splitlines would also split
+            # at form feeds, \x1c-\x1e, \x85 and \u2028/9.
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SignalError(f"cannot read signal file {path}: {exc}")
-    if not values:
+    texts = list(filter(None, map(str.strip, lines)))
+    try:
+        samples = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
+    except ValueError:
+        samples = None
+    if samples is None or not np.isfinite(samples).all():
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                value = float(text)
+            except ValueError:
+                raise SignalError(f"{path}: non-numeric value at line {lineno}: {text!r}")
+            if not np.isfinite(value):
+                raise SignalError(f"{path}: non-finite value at line {lineno}")
+    if not texts:
         raise SignalError(f"empty file: {path}")
-    return Signal(samples=np.array(values), sample_rate=0.0, source_id=str(path))
+    return Signal(samples=samples, sample_rate=0.0, source_id=str(path))
 
 
 def subsample(s: Signal, target_len: int) -> Signal:

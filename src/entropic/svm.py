@@ -8,21 +8,23 @@ The binary trainer solves the standard dual
 by two-variable coordinate ascent on the maximal violating pair, stopping
 when the KKT gap drops below tol. Predictions use
 f(v) = b + sum_i alpha_i k(v, sv_i) with label-signed alphas.
+
+The grid search solves each problem along its C grid in ascending order,
+starting every fit from the previous C's dual solution (alpha seeding,
+DeCoste & Wagstaff 2000); cross-validation and one-vs-one training of a
+single C are the one-step case of the same paths.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import TrainingError
-
-MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -122,12 +124,17 @@ class SvmModel:
     bias: float
     kernel: KernelSpec
     class_pair: tuple
-    # Training record, not saved by to_json: pair updates made, the final
-    # KKT gap (max over 'up' minus min over 'low' of y - f) and whether it
-    # reached tol. A model built any other way carries the defaults.
+    # Training record: pair updates made, the final KKT gap (max over 'up'
+    # minus min over 'low' of y - f) and whether it reached tol. A model
+    # built any other way carries the defaults.
     iterations: int = 0
     kkt_gap: float = math.nan
     converged: bool = False
+    # Solver state that train_binary(start=...) resumes from: the dual
+    # variable of every training point in order (not label-signed) and f
+    # without the bias. None on a model built any other way.
+    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
+    f: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -140,37 +147,6 @@ class SvmModel:
         values = self.decision_values(X)
         neg, pos = self.class_pair
         return [neg if v < 0 else pos for v in values]
-
-    def to_json(self) -> str:
-        doc = {
-            "version": MODEL_FORMAT_VERSION,
-            "kernel": {
-                "family": self.kernel.family,
-                "degree": self.kernel.degree,
-                "offset": self.kernel.offset,
-                "sigma": self.kernel.sigma,
-                "scale": self.kernel.scale,
-            },
-            "support_vectors": self.support_vectors.tolist(),
-            "alpha": self.alpha.tolist(),
-            "bias": self.bias,
-            "class_pair": list(self.class_pair),
-        }
-        return json.dumps(doc)
-
-    @staticmethod
-    def from_json(text: str) -> "SvmModel":
-        doc = json.loads(text)
-        if doc.get("version") != MODEL_FORMAT_VERSION:
-            raise TrainingError(f"unsupported model format version: {doc.get('version')}")
-        n_features = len(doc["support_vectors"][0]) if doc["support_vectors"] else 0
-        return SvmModel(
-            support_vectors=np.array(doc["support_vectors"], dtype=np.float64).reshape(-1, n_features),
-            alpha=np.array(doc["alpha"], dtype=np.float64),
-            bias=float(doc["bias"]),
-            kernel=KernelSpec(**doc["kernel"]),
-            class_pair=tuple(doc["class_pair"]),
-        )
 
 
 def decision_value(m: SvmModel, v: Sequence[float]) -> float:
@@ -189,6 +165,8 @@ def train_binary(
     C: float = 1.0,
     tol: float = 1e-3,
     max_iter: int | None = None,
+    *,
+    start: SvmModel | None = None,
 ) -> SvmModel:
     """Train a binary soft-margin SVM by SMO on the maximal violating pair.
 
@@ -198,6 +176,12 @@ def train_binary(
     KKT gap falls to tol, after max_iter pair updates, or when the maximal
     violating pair cannot move; the model records the updates made, the
     final gap and whether it is within tol (``converged``).
+
+    ``start``, a model that train_binary returned for the same points and
+    kernel, makes SMO resume from its dual solution instead of alpha = 0.
+    That solution is feasible when no alpha in it exceeds C, since it keeps
+    sum(alpha * y) = 0; a start that already meets tol returns its alphas
+    unchanged after 0 updates.
     """
     if not 0 < C < math.inf:
         raise TrainingError(f"C must be positive and finite, got {C}")
@@ -219,18 +203,26 @@ def train_binary(
     K_cols = np.ascontiguousarray(K.T)  # K_cols[i] is K[:, i], read without a stride
     K_diag = K.diagonal().tolist()
 
+    eps = 1e-12 * C
+    upper = C - eps
+    if start is None:
+        alpha = np.zeros(n)
+        f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
+    elif start.dual is None or len(start.dual) != n or start.class_pair != (neg, pos):
+        raise TrainingError("start is not a model trained on these points")
+    elif (start.dual > C + eps).any():  # SMO can leave an alpha one rounding above its C
+        raise TrainingError(f"start has a dual variable above C={C}")
+    else:
+        alpha, f = start.dual, start.f.copy()
     # On problems of tens of points a NumPy call costs more than the
     # arithmetic it does, so the per-pair scalars are Python floats.
     ys = y.tolist()
-    a = [0.0] * n
-    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
-    eps = 1e-12 * C
-    upper = C - eps
+    a = alpha.tolist()
     # up_y[i] is y_i if alpha_i may move so that y_i alpha_i grows (the 'up'
     # set), else -inf; low_y likewise for 'low' with +inf. So up_y - f is
-    # y - f masked for the argmax without a np.where. All alpha start at 0.
-    up_y = np.where(y > 0, y, -np.inf)
-    low_y = np.where(y < 0, y, np.inf)
+    # y - f masked for the argmax without a np.where.
+    up_y = np.where(np.where(y > 0, alpha < upper, alpha > eps), y, -np.inf)
+    low_y = np.where(np.where(y > 0, alpha > eps, alpha < upper), y, np.inf)
     gap_lo = -math.inf
     gap_hi = math.inf
     iterations = 0
@@ -290,6 +282,8 @@ def train_binary(
         iterations=iterations,
         kkt_gap=kkt_gap,
         converged=kkt_gap <= tol,
+        dual=alpha,
+        f=f,
     )
 
 
@@ -334,15 +328,33 @@ def train_multiclass(
     Ties are broken by the largest summed |decision value| margin, then by
     class order.
     """
+    return _one_vs_one_path(data, kernel, (C,), tol)[0]
+
+
+def _binary_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[float],
+                 tol: float) -> list[SvmModel]:
+    """One binary model per C, fitted in the order given.
+
+    Each fit starts from the previous one's dual solution when C did not
+    decrease, since every alpha <= the previous C <= C; otherwise from 0.
+    """
+    models: list[SvmModel] = []
+    for i, C in enumerate(Cs):
+        start = models[-1] if i and Cs[i - 1] <= C else None
+        models.append(train_binary(data, kernel, C=C, tol=tol, start=start))
+    return models
+
+
+def _one_vs_one_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[float],
+                     tol: float) -> list[MulticlassModel]:
+    """One one-vs-one ensemble per C; each class pair is fitted along Cs."""
     _, labels = _stack(data)
     classes = _sorted_classes(labels)
     if len(classes) < 2:
         raise TrainingError("multiclass training needs at least 2 classes")
-    models = []
-    for a, b in itertools.combinations(classes, 2):
-        subset = [p for p in data if p.label in (a, b)]
-        models.append(train_binary(subset, kernel, C=C, tol=tol))
-    return MulticlassModel(classes=tuple(classes), models=tuple(models))
+    paths = [_binary_path([p for p in data if p.label in pair], kernel, Cs, tol)
+             for pair in itertools.combinations(classes, 2)]
+    return [MulticlassModel(classes=tuple(classes), models=models) for models in zip(*paths)]
 
 
 def accuracy(predicted: Sequence, truth: Sequence) -> float:
@@ -357,11 +369,15 @@ def accuracy(predicted: Sequence, truth: Sequence) -> float:
 
 @dataclass(frozen=True)
 class CvResult:
-    """Per-fold accuracies from k-fold cross-validation."""
+    """Per-fold accuracies from k-fold cross-validation, and how its binary fits converged."""
 
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
     stratified: bool  # False when stratification degraded to a plain shuffle
+    fits: int  # binary models trained over all folds
+    iterations: int  # their SMO pair updates, summed
+    kkt_gap: float  # their largest final KKT gap
+    unconverged: int  # fits that stopped with a KKT gap above tol
 
 
 def _shuffled_by_class(labels: Sequence, seed: int) -> dict:
@@ -425,22 +441,41 @@ def kfold_cross_validate(
     seed: int = 0,
 ) -> CvResult:
     """Seeded stratified k-fold CV; trains one-vs-one when > 2 classes."""
+    return _cv_path(data, kernel, (C,), tol, k, seed)[0]
+
+
+def _cv_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[float],
+             tol: float, k: int, seed: int) -> list[CvResult]:
+    """k-fold CV of every C, on the same folds; each fold's models are fitted along Cs."""
     X, labels = _stack(data)
     folds, stratified = stratified_folds(labels, k, seed)
-    n_classes = len(set(labels))
-    accs = []
+    binary = len(set(labels)) == 2
+    accs: list[list[float]] = [[] for _ in Cs]
+    # (iterations, kkt_gap, converged) of each fit; the models themselves would
+    # keep every fold's ensembles in memory.
+    fits: list[list[tuple]] = [[] for _ in Cs]
     for fold in folds:
         test_mask = np.zeros(len(labels), dtype=bool)
         test_mask[fold] = True
         train_pts = [p for p, held in zip(data, test_mask) if not held]
-        if n_classes == 2:
-            model = train_binary(train_pts, kernel, C=C, tol=tol)
-        else:
-            model = train_multiclass(train_pts, kernel, C=C, tol=tol)
-        preds = model.predict(X[test_mask])
-        accs.append(accuracy(preds, [labels[i] for i in fold]))
-    accs = tuple(accs)
-    return CvResult(fold_accuracies=accs, mean_accuracy=float(np.mean(accs)), stratified=stratified)
+        truth = [labels[i] for i in fold]
+        path = (_binary_path if binary else _one_vs_one_path)(train_pts, kernel, Cs, tol)
+        for c, model in enumerate(path):
+            accs[c].append(accuracy(model.predict(X[test_mask]), truth))
+            fits[c] += [(m.iterations, m.kkt_gap, m.converged) for m in ((model,) if binary else model.models)]
+    results = []
+    for a, fit in zip(accs, fits):
+        iterations, gaps, converged = zip(*fit)
+        results.append(CvResult(
+            fold_accuracies=tuple(a),
+            mean_accuracy=float(np.mean(a)),
+            stratified=stratified,
+            fits=len(fit),
+            iterations=sum(iterations),
+            kkt_gap=max(gaps),
+            unconverged=converged.count(False),
+        ))
+    return results
 
 
 def median_pairwise_distance(X: np.ndarray) -> float:
@@ -478,6 +513,7 @@ class GridSearchResult:
     C: float
     mean_accuracy: float
     table: tuple[tuple[str, float, float], ...]  # (kernel description, C, accuracy)
+    cells: tuple[CvResult, ...]  # the CV of each table row, with its fit roll-up
 
 
 def select_best_kernel(
@@ -490,20 +526,25 @@ def select_best_kernel(
 ) -> GridSearchResult:
     """Evaluate every (kernel, C) cell by k-fold CV and keep the argmax.
 
-    Ties keep the earliest cell in grid order (linear before polynomial
-    before gaussian, parameters ascending, then C ascending).
+    Each kernel's folds and class pairs are fitted along Cs in the order
+    given, warm-started where C ascends, so a cell can differ from a cold
+    fit within tol. A cell with an unconverged fit is picked only when every
+    cell has one. Ties keep the earliest cell in grid order (linear before
+    polynomial before gaussian, parameters ascending, then C in grid order).
     """
     X, _ = _stack(data)
     if kernels is None:
         kernels = default_kernel_grid(X)
     if not kernels or not Cs:
         raise TrainingError("empty kernel or C grid")
-    best = None
-    table = []
-    for spec in kernels:
-        for C in Cs:
-            result = kfold_cross_validate(data, spec, C=C, tol=tol, k=k, seed=seed)
-            table.append((spec.describe(), float(C), result.mean_accuracy))
-            if best is None or result.mean_accuracy > best[2]:
-                best = (spec, float(C), result.mean_accuracy)
-    return GridSearchResult(kernel=best[0], C=best[1], mean_accuracy=best[2], table=tuple(table))
+    grid = [(spec, float(C)) for spec in kernels for C in Cs]
+    cells = [cv for spec in kernels for cv in _cv_path(data, spec, Cs, tol, k, seed)]
+    converged = [i for i, cv in enumerate(cells) if cv.unconverged == 0]
+    best = max(converged or range(len(cells)), key=lambda i: cells[i].mean_accuracy)
+    return GridSearchResult(
+        kernel=grid[best][0],
+        C=grid[best][1],
+        mean_accuracy=cells[best].mean_accuracy,
+        table=tuple((spec.describe(), C, cv.mean_accuracy) for (spec, C), cv in zip(grid, cells)),
+        cells=tuple(cells),
+    )

@@ -307,6 +307,59 @@ class TestWavDecoder:
             load_wav(path)
 
 
+def reference_load_csv_signal(path) -> Signal:
+    """The line-by-line load_csv_signal that the one-pass parser replaced,
+    kept as it was: the same samples, bit for bit, and the same errors."""
+    values = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise SignalError(f"{path}: non-numeric value at line {lineno}: {text!r}")
+                if not np.isfinite(value):
+                    raise SignalError(f"{path}: non-finite value at line {lineno}")
+                values.append(value)
+    except OSError as exc:
+        raise SignalError(f"cannot read signal file {path}: {exc}")
+    if not values:
+        raise SignalError(f"empty file: {path}")
+    return Signal(samples=np.array(values), sample_rate=0.0, source_id=str(path))
+
+
+GOOD_CSV_TOKENS = ["1_000", "-0", "-0.0", "+.5", "5.", "1e-5", "-2E+3", "1e-320", "1.7976931348623157e308",
+                   "\u0661\u0662", "", "  ", "\t", "\x0c", "\u2028", "\xa0"]
+BAD_CSV_TOKENS = ["abc", "0x10", "1__0", "1,5", "inf", "-Infinity", "nan", "1e999", "1\x0c2", "1\x852"]
+
+
+def random_csv_text(rng, bad: bool) -> str:
+    """Lines of random floats and the special tokens above, padded with blanks
+    and joined by a random mix of line endings; one bad token if asked."""
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        if rng.uniform() < 0.4:
+            token = GOOD_CSV_TOKENS[rng.integers(len(GOOD_CSV_TOKENS))]
+        else:
+            token = repr(float(rng.normal(0.0, 10.0 ** rng.integers(-5, 6))))
+        pad = ["", " ", "\t", "  \t "]
+        lines.append(pad[rng.integers(4)] + token + pad[rng.integers(4)])
+    if bad:
+        lines.insert(int(rng.integers(len(lines) + 1)), BAD_CSV_TOKENS[rng.integers(len(BAD_CSV_TOKENS))])
+    endings = ["\n", "\r\n", "\r"]
+    return "".join(line + endings[rng.integers(3)] for line in lines)
+
+
+def load_or_error(loader, path):
+    try:
+        return loader(path).samples.view(np.int64).tolist()
+    except SignalError as exc:
+        return str(exc)
+
+
 class TestLoadCsv:
     def test_basic(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -326,11 +379,43 @@ class TestLoadCsv:
         path.write_text("\n1.0\n\n2.0\n")
         assert np.allclose(load_csv_signal(path).samples, [1.0, 2.0])
 
+    def test_undecodable_file_is_a_signal_error(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n")
+        with pytest.raises(SignalError, match="cannot read signal file .*utf-8"):
+            load_csv_signal(path)
+
     def test_only_blank_lines_is_empty(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("\n\n")
         with pytest.raises(SignalError, match="empty"):
             load_csv_signal(path)
+
+
+    @pytest.mark.parametrize("bad", [False, True])
+    def test_same_samples_and_errors_as_reference(self, tmp_path, bad):
+        rng = np.random.default_rng([bad, 7])
+        for case in range(300):
+            path = tmp_path / f"s{case}.csv"
+            path.write_bytes(random_csv_text(rng, bad).encode("utf-8"))
+            want = load_or_error(reference_load_csv_signal, path)
+            assert load_or_error(load_csv_signal, path) == want
+            assert isinstance(want, str) == bad or want == f"empty file: {path}"
+
+    @pytest.mark.parametrize("text,message", [
+        ("1\n\n x \n2\n", "non-numeric value at line 3: 'x'"),
+        ("1\r\n2\r\nnan\r\nabc\r\n", "non-finite value at line 3"),
+        ("1\r2\r\n\n1e999\n", "non-finite value at line 4"),
+        ("1\x0c2\n", "non-numeric value at line 1: '1\\x0c2'"),
+        ("1\n2\u20283\n", "non-numeric value at line 2: '2\\u20283'"),
+    ])
+    def test_error_names_the_first_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(SignalError) as got:
+            load_csv_signal(path)
+        assert str(got.value) == f"{path}: {message}"
+        assert load_or_error(reference_load_csv_signal, path) == str(got.value)
 
 
 class TestSubsample:

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +7,9 @@ import pytest
 from conftest import make_blobs
 from entropic.dataset import audio_columns
 from entropic.errors import TrainingError
+from entropic import svm
 from entropic.svm import (
+    DEFAULT_C_GRID,
     KernelSpec,
     LabeledPoint,
     SvmModel,
@@ -15,6 +17,7 @@ from entropic.svm import (
     _stack,
     accuracy,
     decision_value,
+    default_kernel_grid,
     kernel_eval,
     kernel_matrix,
     kfold_cross_validate,
@@ -273,6 +276,104 @@ def test_train_binary_is_bit_identical_to_reference(data, kernel, C, max_iter):
     assert got.bias == want.bias
 
 
+def recovered_kkt_gap(model, data, C):
+    """The KKT gap of a binary model on its training points, from the model
+    alone: each support vector, in order, is matched to the next training
+    point with its features and label sign."""
+    X = np.stack([p.features for p in data])
+    neg, _ = model.class_pair
+    y = np.array([-1.0 if p.label == neg else 1.0 for p in data])
+    alpha = np.zeros(len(y))
+    sv = iter(zip(model.support_vectors, model.alpha))
+    pending = next(sv, None)
+    for i in range(len(y)):
+        if pending is not None and np.sign(pending[1]) == y[i] and np.array_equal(pending[0], X[i]):
+            alpha[i] = abs(pending[1])
+            pending = next(sv, None)
+    assert pending is None, "a support vector is not a training point"
+    assert np.all(alpha <= C * (1 + 1e-12)) and abs(alpha @ y) <= 1e-9 * C
+    viol = y - (model.decision_values(X) - model.bias)
+    eps = 1e-12 * C
+    up = np.where(y > 0, alpha < C - eps, alpha > eps)
+    low = np.where(y > 0, alpha > eps, alpha < C - eps)
+    return float(viol[up].max() - viol[low].min()) if up.any() and low.any() else 0.0
+
+
+def warm_start_problems():
+    """Seeded two-class problems of 8-30 points, every kernel family."""
+    kernels = [KernelSpec("linear"), KernelSpec("polynomial", degree=2, offset=1.0),
+               KernelSpec("polynomial", degree=3, offset=0.0), KernelSpec("gaussian", sigma=0.5)]
+    problems = []
+    for seed in range(24):
+        rng = np.random.default_rng([seed, 23])
+        n = int(rng.integers(8, 31))
+        X = rng.normal(size=(n, int(rng.integers(1, 4))))
+        labels = ["A", "B"] + list(rng.choice(["A", "B"], n - 2))
+        X[np.array(labels) == "B"] += rng.uniform(0.0, 1.5)
+        problems.append((points_from(X, labels), kernels[seed % 4]))
+    return problems
+
+
+class TestWarmStart:
+    def test_every_fit_along_a_grid_meets_kkt_at_tol(self):
+        tol = 1e-3
+        converged = 0
+        for data, kernel in warm_start_problems():
+            models = svm._binary_path(data, kernel, DEFAULT_C_GRID, tol)
+            for C, model in zip(DEFAULT_C_GRID, models):
+                gap = recovered_kkt_gap(model, data, C)
+                assert gap == pytest.approx(model.kkt_gap, abs=1e-9)
+                if model.converged:
+                    assert gap <= tol + 1e-9
+                    converged += 1
+                else:  # only where the cold fit fails too, and after the whole budget
+                    assert model.iterations == min(10 * len(data) ** 2, 200_000)
+                    assert not train_binary(data, kernel, C=C, tol=tol).converged
+        assert converged >= 85  # of 96 fits
+
+    def test_start_meeting_tol_returns_its_alphas(self):
+        X, labels = make_blobs(seed=0)  # separable: no alpha reaches C = 10
+        data = points_from(X, labels)
+        cold = train_binary(data, KernelSpec("linear"), C=10.0)
+        assert cold.iterations > 0 and cold.dual.max() < 10.0
+        for C in (10.0, 100.0):
+            warm = train_binary(data, KernelSpec("linear"), C=C, start=cold)
+            assert warm.iterations == 0
+            assert warm.dual.view(np.int64).tolist() == cold.dual.view(np.int64).tolist()
+            assert warm.alpha.view(np.int64).tolist() == cold.alpha.view(np.int64).tolist()
+            assert warm.bias == cold.bias
+
+    def test_start_is_not_changed(self):
+        X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))  # overlapping
+        data = points_from(X, labels)
+        start = train_binary(data, KernelSpec("linear"), C=0.1)
+        dual, f = start.dual.copy(), start.f.copy()
+        warm = train_binary(data, KernelSpec("linear"), C=100.0, start=start)
+        assert warm.iterations > 0
+        assert np.array_equal(start.dual, dual) and np.array_equal(start.f, f)
+
+    def test_infeasible_starts_rejected(self):
+        X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))
+        data = points_from(X, labels)
+        kernel = KernelSpec("linear")
+        start = train_binary(data, kernel, C=10.0)
+        assert start.dual.max() > 1.0
+        with pytest.raises(TrainingError, match="above C"):
+            train_binary(data, kernel, C=1.0, start=start)
+        with pytest.raises(TrainingError, match="not a model trained on these points"):
+            train_binary(data[1:], kernel, C=10.0, start=start)
+        renamed = [LabeledPoint(p.features, {"A": "A", "B": "0"}[p.label]) for p in data]
+        with pytest.raises(TrainingError, match="not a model trained on these points"):
+            train_binary(renamed, kernel, C=10.0, start=start)
+        hand_built = dataclasses.replace(start, dual=None, f=None)
+        with pytest.raises(TrainingError, match="not a model trained on these points"):
+            train_binary(data, kernel, C=10.0, start=hand_built)
+
+    def test_solver_state_is_kept_out_of_repr_and_equality(self):
+        fields = {f.name: f for f in dataclasses.fields(SvmModel)}
+        assert not any(fields[name].repr or fields[name].compare for name in ("dual", "f"))
+
+
 class TestDecisionValue:
     def test_no_support_vectors_returns_bias(self):
         m = SvmModel(
@@ -423,23 +524,64 @@ class TestSelectBestKernel:
         with pytest.raises(TrainingError):
             select_best_kernel(TWO_POINTS * 3, kernels=[], Cs=(1.0,))
 
+    @pytest.mark.parametrize("shift", [0.0, 8.0])
+    def test_descending_grid_is_the_cold_grid(self, shift):
+        # Shifted to entropy-like values near 8, the polynomial cells cap fits.
+        X, labels = make_blobs(seed=16, n_per_class=7, centers=((0, 0), (0.3, 0.1), (0.1, 0.3)))
+        data = points_from(X / 3 + shift, labels)
+        descending = tuple(sorted(DEFAULT_C_GRID, reverse=True))
+        result = select_best_kernel(data, Cs=descending, k=3, seed=1)
+        table, best = reference_select_best_kernel(data, Cs=descending, k=3, seed=1)
+        assert result.table == table
+        converged = [row for row, cv in zip(table, result.cells) if cv.unconverged == 0]
+        assert (len(converged) < len(table)) == (shift > 0)
+        picked = max(converged, key=lambda row: row[2])
+        assert (result.kernel.describe(), result.C, result.mean_accuracy) == picked
+        if shift == 0:
+            assert (result.kernel, result.C, result.mean_accuracy) == best
 
-class TestModelSerialization:
-    def test_round_trip_decision_values(self):
-        X, labels = make_blobs(seed=13)
-        m = train_binary(points_from(X, labels), KernelSpec("gaussian", sigma=1.7), C=3.0)
-        assert set(json.loads(m.to_json())) == {
-            "version", "kernel", "support_vectors", "alpha", "bias", "class_pair"}
-        restored = SvmModel.from_json(m.to_json())
-        test = np.random.default_rng(3).normal(2.0, 3.0, (40, 2))
-        assert np.allclose(m.decision_values(test), restored.decision_values(test), atol=1e-12)
-        assert restored.class_pair == m.class_pair
+    def test_unconverged_cell_loses_to_a_converged_one(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        centers = [((0, 0), "A"), ((1, 1), "A"), ((0, 1), "B"), ((1, 0), "B")]
+        X = np.vstack([rng.normal(c, 0.08, (15, 2)) for c, _ in centers])
+        data = points_from(X, [lab for _, lab in centers for _ in range(15)])
+        kernels = [KernelSpec("linear"), KernelSpec("polynomial", degree=2, offset=1.0)]
+        trained = svm.train_binary
+        capped = set()
 
-    def test_version_check(self):
-        m = train_binary(TWO_POINTS, KernelSpec("linear"), C=1.0)
-        doc = m.to_json().replace('"version": 1', '"version": 99')
-        with pytest.raises(TrainingError):
-            SvmModel.from_json(doc)
+        def flag_capped(data, kernel, *args, **kwargs):
+            model = trained(data, kernel, *args, **kwargs)
+            return dataclasses.replace(model, converged=False) if kernel.family in capped else model
+
+        monkeypatch.setattr(svm, "train_binary", flag_capped)
+        capped.add("polynomial")
+        result = select_best_kernel(data, kernels=kernels, Cs=(10.0,), k=4, seed=0)
+        linear, polynomial = result.cells
+        assert polynomial.mean_accuracy > linear.mean_accuracy
+        assert (linear.unconverged, polynomial.unconverged) == (0, polynomial.fits)
+        assert result.kernel.family == "linear"
+        capped.add("linear")
+        assert select_best_kernel(data, kernels=kernels, Cs=(10.0,), k=4, seed=0).kernel.family == "polynomial"
+
+
+def reference_select_best_kernel(data, kernels=None, Cs=DEFAULT_C_GRID, tol=1e-3, k=5, seed=0):
+    """The grid search before warm starts, every cell a cold
+    kfold_cross_validate, kept as it was apart from returning only the table
+    and the (kernel, C, accuracy) picked."""
+    X, _ = _stack(data)
+    if kernels is None:
+        kernels = default_kernel_grid(X)
+    if not kernels or not Cs:
+        raise TrainingError("empty kernel or C grid")
+    best = None
+    table = []
+    for spec in kernels:
+        for C in Cs:
+            result = kfold_cross_validate(data, spec, C=C, tol=tol, k=k, seed=seed)
+            table.append((spec.describe(), float(C), result.mean_accuracy))
+            if best is None or result.mean_accuracy > best[2]:
+                best = (spec, float(C), result.mean_accuracy)
+    return tuple(table), best
 
 
 def reference_stratified_folds(labels, k, seed):
