@@ -27,8 +27,6 @@ from .svm import (
     MulticlassModel,
     SvmModel,
     accuracy,
-    decision_value,
-    kernel_eval,
     kfold_cross_validate,
     select_best_kernel,
     train_binary,

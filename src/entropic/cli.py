@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 partial per-file failure, 2 invalid invocation.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import dataset as ds
 from . import stats as st
 from . import svm
-from .errors import EntropicError
+from .errors import EntropicError, TrainingError
 from .persistence import barcode_to_csv, persistent_entropy, signal_barcode
 from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 
@@ -41,7 +42,7 @@ DEFAULTS = {
     "jobs": 1,
 }
 # The smallest valid value of an option, checked once before any input is read.
-_MINIMUM = {"target_len": 2, "seed": 0}
+_MINIMUM = {"target_len": 2, "seed": 0, "k": 2}
 
 
 def _config_value_ok(key: str, value) -> bool:
@@ -87,32 +88,41 @@ def _effective_config(config_path: str | None, flags: dict) -> dict:
 
 
 def _kernel_from_config(cfg: dict) -> svm.KernelSpec | None:
-    name = cfg.get("kernel")
+    """The configured kernel; None for the experiment's default.
+
+    A name or parameter that KernelSpec refuses is a usage error, except a
+    non-finite sigma: that stays an error of the run, as a non-finite C is.
+    """
+    name, sigma = cfg["kernel"], cfg["sigma"]
     if name is None:
         return None
-    if name == "linear":
-        return svm.KernelSpec("linear")
-    if name in ("polynomial", "poly"):
-        return svm.KernelSpec("polynomial", degree=int(cfg["degree"]), offset=float(cfg["offset"]))
-    if name in ("gaussian", "rbf"):
-        sigma = cfg.get("sigma")
-        if sigma is None:
-            raise click.UsageError("gaussian kernel requires --sigma")
-        return svm.KernelSpec("gaussian", sigma=float(sigma))
-    raise click.UsageError(f"unknown kernel: {name!r}")
+    if name == "gaussian" and sigma is None:
+        raise click.UsageError("gaussian kernel requires --sigma")
+    try:
+        if name == "polynomial":
+            return svm.KernelSpec(name, degree=int(cfg["degree"]), offset=float(cfg["offset"]))
+        if name == "gaussian":
+            return svm.KernelSpec(name, sigma=float(sigma))
+        return svm.KernelSpec(name)
+    except TrainingError as exc:
+        if name == "gaussian" and not math.isfinite(sigma):
+            raise
+        raise click.UsageError(str(exc))
 
 
 def _load_signal(path: str):
     return load_csv_signal(path) if path.endswith(".csv") else load_wav(path)
 
 
-def _write(out_dir: Path | None, name: str, text: str) -> None:
-    if out_dir is None:
+def _write(out_dir: str | None, name: str, text: str) -> None:
+    """Write one output file to --out-dir, or to stdout without one."""
+    if not out_dir:
         sys.stdout.write(text)
-    else:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / name).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {out_dir / name}", err=True)
+        return
+    path = Path(out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    click.echo(f"wrote {path}", err=True)
 
 
 config_option = click.option("--config", "config_path", type=click.Path(), default=None,
@@ -147,7 +157,7 @@ def entropy(inputs, config_path, target_len, out_dir) -> None:
         except EntropicError as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             failed = True
-    _write(Path(out_dir) if out_dir else None, "entropy.csv", "\n".join(lines) + "\n")
+    _write(out_dir, "entropy.csv", "\n".join(lines) + "\n")
     if failed:
         sys.exit(1)
 
@@ -165,7 +175,7 @@ def barcode(input_path, config_path, target_len, out_dir) -> None:
     except EntropicError as exc:
         click.echo(f"error: {input_path}: {exc}", err=True)
         sys.exit(1)
-    _write(Path(out_dir) if out_dir else None, "barcode.csv", barcode_to_csv(b))
+    _write(out_dir, "barcode.csv", barcode_to_csv(b))
 
 
 def _load_matrix(source: str, cfg: dict) -> tuple[st.EntropyMatrix, tuple]:
@@ -194,7 +204,7 @@ def _load_matrix(source: str, cfg: dict) -> tuple[st.EntropyMatrix, tuple]:
 @out_dir_option
 @click.option("--seed", type=int, default=None)
 @click.option("--k", type=int, default=None, help="CV fold count.")
-@click.option("--kernel", type=click.Choice(["linear", "polynomial", "gaussian"]), default=None)
+@click.option("--kernel", type=click.Choice(svm.KERNEL_FAMILIES), default=None)
 @click.option("--C", "C", type=float, default=None)
 @click.option("--sigma", type=float, default=None)
 @click.option("--degree", type=int, default=None)
@@ -208,19 +218,19 @@ def experiment(exp_id, source, config_path, target_len, out_dir, seed, k, kernel
         "C": C, "sigma": sigma, "degree": degree, "offset": offset, "jobs": jobs,
     })
     try:
-        matrix, _ = _load_matrix(source, cfg)
+        # Built before any input is read, so a bad kernel parameter costs no decoding.
         config = ds.ExperimentConfig(
             seed=cfg["seed"], k=cfg["k"], C=cfg["C"], tol=cfg["tol"],
             target_len=cfg["target_len"], kernel=_kernel_from_config(cfg),
         )
+        matrix, _ = _load_matrix(source, cfg)
         result = ds.run_experiment(exp_id, matrix, config)
     except EntropicError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    out = Path(out_dir) if out_dir else None
-    _write(out, f"experiment{exp_id}.json", result.to_json() + "\n")
+    _write(out_dir, f"experiment{exp_id}.json", result.to_json() + "\n")
     if exp_id == 3:
-        _write(out, "experiment3_pairwise.csv", ds.pairwise_table_csv(result.pairwise))
+        _write(out_dir, "experiment3_pairwise.csv", ds.pairwise_table_csv(result.pairwise))
 
 
 @main.command()
@@ -240,10 +250,9 @@ def stats(table, out_dir) -> None:
     for (ga, gb), value in means.items():
         if np.isnan(value):
             click.echo(f"warning: mean for ({ga},{gb}) undefined (group too small)", err=True)
-    out = Path(out_dir) if out_dir else None
-    _write(out, "correlation.csv", st.correlation_csv(corr, matrix.actor_meta))
-    _write(out, "sex_means.csv", st.sex_means_csv(means))
-    _write(out, "boxplot.csv", st.boxplot_csv(boxes))
+    _write(out_dir, "correlation.csv", st.correlation_csv(corr, matrix.actor_meta))
+    _write(out_dir, "sex_means.csv", st.sex_means_csv(means))
+    _write(out_dir, "boxplot.csv", st.boxplot_csv(boxes))
 
 
 @main.command()
@@ -275,8 +284,7 @@ def kernels(exp_id, source, config_path, target_len, out_dir, seed, k, jobs) -> 
         "table": [list(row) for row in result.table],
         "config": {"seed": cfg["seed"], "k": cfg["k"], "target_len": cfg["target_len"]},
     }
-    _write(Path(out_dir) if out_dir else None, "kernels.json",
-           json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(out_dir, "kernels.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

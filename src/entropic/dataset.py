@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import itertools
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -25,11 +26,20 @@ from .persistence import signal_entropy
 from .stats import ActorInfo, AudioInfo, EntropyMatrix
 
 EMOTIONS = ("neutral", "calm", "happy", "sad", "angry", "fearful", "disgust", "surprised")
+# The classes of experiment 3; see build_experiment3 for why neutral is not one.
+NON_NEUTRAL = EMOTIONS[1:]
 INTENSITIES = ("normal", "strong")
 N_ACTORS = 24
 
 _EMOTION_CODE = {i + 1: name for i, name in enumerate(EMOTIONS)}
 _RAVDESS_NAME = re.compile(r"^(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})\.wav$")
+
+
+def _check_actor(actor_id: int, sex: str) -> None:
+    if not 1 <= actor_id <= N_ACTORS:
+        raise DatasetError(f"actor_id {actor_id} out of range 1..{N_ACTORS}")
+    if sex not in ("male", "female"):
+        raise DatasetError(f"unknown sex: {sex!r}")
 
 
 @dataclass(frozen=True)
@@ -45,10 +55,7 @@ class RecordingMeta:
     repetition: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.actor_id <= N_ACTORS:
-            raise DatasetError(f"actor_id {self.actor_id} out of range 1..{N_ACTORS}")
-        if self.sex not in ("male", "female"):
-            raise DatasetError(f"unknown sex: {self.sex!r}")
+        _check_actor(self.actor_id, self.sex)
         if self.emotion not in EMOTIONS:
             raise DatasetError(f"unknown emotion: {self.emotion!r}")
         if self.intensity not in INTENSITIES:
@@ -130,9 +137,7 @@ def parse_manifest(path) -> list[RecordingMeta]:
                         statement=int(row["statement"]),
                         repetition=int(row["repetition"]),
                     )
-                except (TypeError, ValueError) as exc:
-                    raise DatasetError(f"{path}:{lineno}: {exc}")
-                except DatasetError as exc:
+                except (TypeError, ValueError, DatasetError) as exc:
                     raise DatasetError(f"{path}:{lineno}: {exc}")
                 coord = rec.coordinate()
                 if coord in seen:
@@ -257,17 +262,11 @@ def build_experiment1(m: EntropyMatrix, include_neutral: bool = True) -> list[sv
     """One 1-D point per recording, labeled by emotion."""
     _require_complete(m)
     points = []
-    for i, actor in enumerate(m.actor_meta):
-        for j, meta in enumerate(m.audio_meta):
+    for row in m.values:
+        for value, meta in zip(row, m.audio_meta):
             if not include_neutral and meta.emotion == "neutral":
                 continue
-            points.append(
-                svm.LabeledPoint(
-                    features=np.array([m.values[i, j]]),
-                    label=meta.emotion,
-                    provenance=(actor.actor_id, meta.emotion, j),
-                )
-            )
+            points.append(svm.LabeledPoint(features=np.array([value]), label=meta.emotion))
     return points
 
 
@@ -276,13 +275,7 @@ def build_experiment2(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     _require_complete(m)
     points = []
     for j, meta in enumerate(m.audio_meta):
-        points.append(
-            svm.LabeledPoint(
-                features=m.values[:, j].copy(),
-                label=meta.emotion,
-                provenance=(meta.emotion, j),
-            )
-        )
+        points.append(svm.LabeledPoint(features=m.values[:, j].copy(), label=meta.emotion))
     return points
 
 
@@ -295,18 +288,10 @@ def build_experiment3(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     """
     _require_complete(m)
     points = []
-    for i, actor in enumerate(m.actor_meta):
-        for emotion in EMOTIONS:
-            if emotion == "neutral":
-                continue
+    for row in m.values:
+        for emotion in NON_NEUTRAL:
             cols = [j for j, meta in enumerate(m.audio_meta) if meta.emotion == emotion]
-            points.append(
-                svm.LabeledPoint(
-                    features=m.values[i, cols].copy(),
-                    label=emotion,
-                    provenance=(actor.actor_id, emotion),
-                )
-            )
+            points.append(svm.LabeledPoint(features=row[cols], label=emotion))
     return points
 
 
@@ -323,15 +308,7 @@ class ExperimentConfig:
     include_neutral: bool = True
 
     def snapshot(self, effective_kernel: svm.KernelSpec) -> dict:
-        return {
-            "seed": self.seed,
-            "k": self.k,
-            "C": self.C,
-            "tol": self.tol,
-            "target_len": self.target_len,
-            "kernel": effective_kernel.describe(),
-            "include_neutral": self.include_neutral,
-        }
+        return {**asdict(self), "kernel": effective_kernel.describe()}
 
 
 @dataclass(frozen=True)
@@ -407,16 +384,13 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
     if exp_id == 3:
         points = build_experiment3(m)
         kernel = config.kernel or svm.KernelSpec("polynomial")
-        emotions = [e for e in EMOTIONS if e != "neutral"]
         pairwise: dict[tuple[str, str], float] = {}
-        for a_idx in range(len(emotions)):
-            for b_idx in range(a_idx + 1, len(emotions)):
-                a, b = emotions[a_idx], emotions[b_idx]
-                subset = [p for p in points if p.label in (a, b)]
-                cv = svm.kfold_cross_validate(
-                    subset, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
-                )
-                pairwise[(a, b)] = cv.mean_accuracy
+        for a, b in itertools.combinations(NON_NEUTRAL, 2):
+            subset = [p for p in points if p.label in (a, b)]
+            cv = svm.kfold_cross_validate(
+                subset, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
+            )
+            pairwise[(a, b)] = cv.mean_accuracy
         mean_acc = float(np.mean(list(pairwise.values())))
         return ExperimentResult(
             experiment=3,
@@ -431,13 +405,9 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
 
 def pairwise_table_csv(pairwise: dict[tuple[str, str], float]) -> str:
     """Upper-triangular emotion-pair accuracy table as CSV."""
-    emotions = [e for e in EMOTIONS if e != "neutral"]
-    lines = ["emotion," + ",".join(emotions[1:])]
-    for i, a in enumerate(emotions[:-1]):
-        cells = []
-        for b in emotions[1:]:
-            j = emotions.index(b)
-            cells.append(repr(pairwise[(a, b)]) if j > i else "")
+    lines = ["emotion," + ",".join(NON_NEUTRAL[1:])]
+    for i, a in enumerate(NON_NEUTRAL[:-1]):
+        cells = [""] * i + [repr(pairwise[(a, b)]) for b in NON_NEUTRAL[i + 1:]]
         lines.append(a + "," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -453,7 +423,11 @@ def entropy_table_csv(m: EntropyMatrix) -> str:
 
 
 def read_entropy_table(path) -> EntropyMatrix:
-    """Parse the CSV written by :func:`entropy_table_csv`."""
+    """Parse the CSV written by :func:`entropy_table_csv`.
+
+    The header must name the canonical 60 audio columns in order, and each
+    row a distinct actor as a manifest would; an empty cell is NaN.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -461,25 +435,29 @@ def read_entropy_table(path) -> EntropyMatrix:
         raise DatasetError(f"cannot read entropy table {path}: {exc}")
     if not rows or rows[0][:2] != ["actor_id", "sex"]:
         raise DatasetError(f"{path}: not an entropy table CSV")
-    audio_meta = []
-    for key in rows[0][2:]:
-        try:
-            emotion, intensity, statement, repetition = key.rsplit("-", 3)
-            audio_meta.append(AudioInfo(emotion, intensity, int(statement), int(repetition)))
-        except ValueError:
-            raise DatasetError(f"{path}: bad column key {key!r}")
+    columns = tuple(audio_columns())
+    if rows[0][2:] != [c.column_key() for c in columns]:
+        raise DatasetError(f"{path}: the columns after actor_id,sex must be the "
+                           f"{len(columns)} audio columns in canonical order")
     actors = []
     values = []
+    seen: dict[int, int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(audio_meta) + 2:
-            raise DatasetError(f"{path}:{lineno}: expected {len(audio_meta) + 2} cells")
+        if len(row) != len(columns) + 2:
+            raise DatasetError(f"{path}:{lineno}: expected {len(columns) + 2} cells")
         try:
-            actors.append(ActorInfo(int(row[0]), row[1]))
+            actor = ActorInfo(int(row[0]), row[1])
+            _check_actor(*actor)
             values.append([float(c) if c else float("nan") for c in row[2:]])
-        except ValueError as exc:
+        except (ValueError, DatasetError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}")
+        if actor.actor_id in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate actor {actor.actor_id} "
+                               f"(first seen at line {seen[actor.actor_id]})")
+        seen[actor.actor_id] = lineno
+        actors.append(actor)
     return EntropyMatrix(
         values=np.array(values, dtype=np.float64),
         actor_meta=tuple(actors),
-        audio_meta=tuple(audio_meta),
+        audio_meta=columns,
     )

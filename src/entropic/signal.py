@@ -30,7 +30,6 @@ class Signal:
 
     samples: np.ndarray
     sample_rate: float = 0.0
-    source_id: str = ""
     levels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -180,18 +179,6 @@ def _read_wav(path, target_len: int | None) -> tuple[int, np.ndarray]:
     return rate, frames.astype(dtype.newbyteorder("="), copy=False)
 
 
-def _normalize_int(frames: np.ndarray, max_magnitude: float) -> np.ndarray:
-    # Multi-channel input is averaged per frame before renormalizing, so a
-    # stereo frame (1000, 3000) at 16 bit becomes 2000/32768.
-    # Divided in place: a second full-length temporary per file costs page
-    # faults whenever the allocator hands its memory back between files.
-    frames = frames.astype(np.float64)
-    if frames.ndim == 2:
-        frames = frames.mean(axis=1)
-    frames /= max_magnitude
-    return frames
-
-
 def load_wav(path, target_len: int | None = None) -> Signal:
     """Load a PCM or IEEE-float WAV file as a mono Signal in [-1, 1].
 
@@ -201,23 +188,22 @@ def load_wav(path, target_len: int | None = None) -> Signal:
     rejected. Mono 8- and 16-bit PCM also carries its frames as ``levels``.
     """
     rate, data = _read_wav(path, target_len)
+    # Multi-channel input is averaged per frame before renormalizing, so a
+    # stereo frame (1000, 3000) at 16 bit becomes 2000/32768.
+    samples = data.astype(np.float64)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
     if data.dtype == np.uint8:  # 8-bit WAV is unsigned
-        frames = data.astype(np.float64)
-        if frames.ndim == 2:
-            frames = frames.mean(axis=1)
-        samples = (frames - 128.0) / 128.0
-    elif data.dtype == np.int16:
-        samples = _normalize_int(data, 32768.0)
-    elif data.dtype == np.int32:
+        samples = (samples - 128.0) / 128.0
+    elif data.dtype.kind == "i":
         # 24-bit PCM is widened into int32, so one divisor covers both.
-        samples = _normalize_int(data, 2147483648.0)
+        # Divided in place: a second full-length temporary per file costs page
+        # faults whenever the allocator hands its memory back between files.
+        samples /= 32768.0 if data.dtype == np.int16 else 2147483648.0
     else:
-        frames = data.astype(np.float64)
-        if frames.ndim == 2:
-            frames = frames.mean(axis=1)
-        samples = np.clip(frames, -1.0, 1.0)
+        samples = np.clip(samples, -1.0, 1.0)
     levels = data if data.ndim == 1 and data.dtype in (np.uint8, np.int16) else None
-    return Signal(samples=samples, sample_rate=float(rate), source_id=str(path), levels=levels)
+    return Signal(samples=samples, sample_rate=float(rate), levels=levels)
 
 
 def load_csv_signal(path) -> Signal:
@@ -253,7 +239,7 @@ def load_csv_signal(path) -> Signal:
                 raise SignalError(f"{path}: non-finite value at line {lineno}")
     if not texts:
         raise SignalError(f"empty file: {path}")
-    return Signal(samples=samples, sample_rate=0.0, source_id=str(path))
+    return Signal(samples=samples, sample_rate=0.0)
 
 
 def subsample(s: Signal, target_len: int) -> Signal:
@@ -267,8 +253,7 @@ def subsample(s: Signal, target_len: int) -> Signal:
         return s  # the indices are 0..n-1
     idx = _subsample_indices(len(s), target_len)
     levels = None if s.levels is None else s.levels[idx]
-    return Signal(samples=s.samples[idx], sample_rate=s.sample_rate, source_id=s.source_id,
-                  levels=levels)
+    return Signal(samples=s.samples[idx], sample_rate=s.sample_rate, levels=levels)
 
 
 def canonicalize(s: Signal) -> CanonicalSignal:

@@ -26,32 +26,29 @@ import numpy as np
 
 from .errors import TrainingError
 
+KERNEL_FAMILIES = ("linear", "polynomial", "gaussian")
+
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family with parameters.
 
-    family is 'linear', 'polynomial' or 'gaussian'. The polynomial defaults,
-    (x.y + 1)^2, are experiment 3's kernel. ``scale`` multiplies the kernel
-    value uniformly; it exists only for rescaling-invariance checks and
-    defaults to 1.
+    family is one of KERNEL_FAMILIES. The polynomial defaults, (x.y + 1)^2,
+    are experiment 3's kernel.
     """
 
     family: str
     degree: int = 2
     offset: float = 1.0
     sigma: float = 1.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.family not in ("linear", "polynomial", "gaussian"):
+        if self.family not in KERNEL_FAMILIES:
             raise TrainingError(f"unknown kernel family: {self.family!r}")
         if self.family == "polynomial" and self.degree < 1:
             raise TrainingError("polynomial degree must be >= 1")
         if self.family == "gaussian" and not 0 < self.sigma < math.inf:
             raise TrainingError(f"gaussian sigma must be positive and finite, got {self.sigma}")
-        if self.scale <= 0:
-            raise TrainingError("kernel scale must be positive")
 
     def describe(self) -> str:
         if self.family == "linear":
@@ -69,32 +66,20 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise TrainingError(f"feature dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
     dots = X @ Y.T
     if spec.family == "linear":
-        K = dots
-    elif spec.family == "polynomial":
-        K = (dots + spec.offset) ** spec.degree
-    else:
-        sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * dots
-        np.maximum(sq, 0.0, out=sq)
-        K = np.exp(-sq / (2.0 * spec.sigma**2))
-    return spec.scale * K
-
-
-def kernel_eval(spec: KernelSpec, u: Sequence[float], v: Sequence[float]) -> float:
-    """Evaluate k(u, v) for a single pair of vectors."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise TrainingError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    return float(kernel_matrix(spec, u[None, :], v[None, :])[0, 0])
+        return dots
+    if spec.family == "polynomial":
+        return (dots + spec.offset) ** spec.degree
+    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * dots
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * spec.sigma**2))
 
 
 @dataclass(frozen=True)
 class LabeledPoint:
-    """Feature vector with a class label and optional provenance."""
+    """Feature vector with a class label."""
 
     features: np.ndarray
     label: object
-    provenance: tuple | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64).reshape(-1)
@@ -147,12 +132,6 @@ class SvmModel:
         values = self.decision_values(X)
         neg, pos = self.class_pair
         return [neg if v < 0 else pos for v in values]
-
-
-def decision_value(m: SvmModel, v: Sequence[float]) -> float:
-    """f(v) = b + sum_i alpha_i k(v, sv_i)."""
-    v = np.asarray(v, dtype=np.float64)
-    return float(m.decision_values(v[None, :])[0])
 
 
 def _sorted_classes(labels: Sequence) -> list:

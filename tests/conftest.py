@@ -1,6 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
+from entropic import svm
 from entropic.dataset import EMOTIONS, audio_columns
 from entropic.stats import ActorInfo, EntropyMatrix
 
@@ -15,6 +18,16 @@ def make_matrix(values: np.ndarray) -> EntropyMatrix:
         ),
         audio_meta=tuple(audio_columns()),
     )
+
+
+@contextlib.contextmanager
+def scaled_kernel(c: float):
+    """Within the block, every Gram matrix is c * K: the kernel c * k, with
+    the same bits as a kernel that multiplies its own values by c."""
+    plain = svm.kernel_matrix
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svm, "kernel_matrix", lambda spec, X, Y: c * plain(spec, X, Y))
+        yield
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_blobs, make_matrix
+from conftest import make_blobs, make_matrix, scaled_kernel
 from entropic.dataset import (
     EMOTIONS,
     ExperimentConfig,
@@ -37,7 +37,6 @@ from entropic.svm import (
     KernelSpec,
     LabeledPoint,
     accuracy,
-    decision_value,
     kfold_cross_validate,
     train_binary,
 )
@@ -105,7 +104,7 @@ def test_criterion_4_svm_correctness():
     two = [LabeledPoint(np.array([-1.0]), "A"), LabeledPoint(np.array([1.0]), "B")]
     m = train_binary(two, KernelSpec("linear"), C=10.0)
     assert abs(m.bias) <= 1e-6
-    assert abs(decision_value(m, [0.0])) <= 1e-6
+    assert abs(m.decision_values([0.0])[0]) <= 1e-6
 
     # (b) separable blobs: perfect training accuracy and KKT residuals
     X, labels = make_blobs(seed=104)
@@ -131,9 +130,8 @@ def test_criterion_4_svm_correctness():
     # (c) constant rescaling of the gaussian kernel leaves predictions fixed
     test_points = np.random.default_rng(105).normal(2.0, 3.0, (200, 2))
     plain = train_binary(data, KernelSpec("gaussian", sigma=2.0), C=10.0).predict(test_points)
-    scaled = train_binary(
-        data, KernelSpec("gaussian", sigma=2.0, scale=5.0), C=10.0
-    ).predict(test_points)
+    with scaled_kernel(5.0):
+        scaled = train_binary(data, KernelSpec("gaussian", sigma=2.0), C=10.0).predict(test_points)
     assert plain == scaled
     report(4, "analytic solution, KKT residuals and rescaling invariance hold")
 
@@ -146,7 +144,7 @@ def test_criterion_5_null_model_calibration():
     shuffled_labels = [p.label for p in points]
     rng.shuffle(shuffled_labels)
     shuffled = [
-        LabeledPoint(p.features, lab, p.provenance) for p, lab in zip(points, shuffled_labels)
+        LabeledPoint(p.features, lab) for p, lab in zip(points, shuffled_labels)
     ]
     cv = kfold_cross_validate(shuffled, KernelSpec("linear"), C=1.0, k=5, seed=106)
     p0 = 1 / 8

@@ -248,19 +248,25 @@ class TestStatsCommand:
         assert runner.invoke(main, ["stats", str(tmp_path / "nope.csv")]).exit_code == 2
 
 
-def corrupt_first_row(table_csv, field, text):
-    """Copy of an entropy table whose first data row has one field replaced."""
-    lines = table_csv.read_text().split("\n")
-    row = lines[1].split(",")
-    row[field] = text
-    lines[1] = ",".join(row)
+def rewrite_table(table_csv, edit):
+    """Copy of an entropy table with edit(rows) applied to its rows of cells."""
+    rows = [line.split(",") for line in table_csv.read_text().strip().split("\n")]
+    edit(rows)
     bad = table_csv.with_name("bad.csv")
-    bad.write_text("\n".join(lines))
+    bad.write_text("\n".join(",".join(row) for row in rows) + "\n")
     return bad
 
 
+def corrupt_first_row(table_csv, field, text):
+    """Copy of an entropy table whose first data row has one field replaced."""
+    def edit(rows):
+        rows[1][field] = text
+    return rewrite_table(table_csv, edit)
+
+
 @pytest.mark.parametrize("command", [["experiment", "2"], ["stats"]])
-@pytest.mark.parametrize("field,text", [(0, "1.5"), (5, "abc")], ids=["actor_id", "cell"])
+@pytest.mark.parametrize("field,text", [(0, "1.5"), (5, "abc"), (0, "25"), (0, "0"), (1, "x")],
+                         ids=["actor_id", "cell", "actor_above_24", "actor_zero", "sex"])
 def test_malformed_table_is_an_error_not_a_traceback(table_csv, command, field, text):
     bad = corrupt_first_row(table_csv, field, text)
     env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
@@ -353,10 +359,101 @@ def test_target_len_below_two_is_a_usage_error(runner, tmp_path, via, command, v
     assert "error:" not in result.output and "warning:" not in result.output  # no file was read
 
 
+def fail_if_input_is_read(monkeypatch):
+    def load_matrix(*args):
+        raise AssertionError("the input was read")
+    monkeypatch.setattr("entropic.cli._load_matrix", load_matrix)
+
+
+# A negative seed, and a CV fold count below 2, are refused before any input is read.
 @pytest.mark.parametrize("via", ["flag", "config", "env"])
-@pytest.mark.parametrize("command", [["experiment", "2"], ["kernels", "2"]])
-def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, via, command):
-    result = _invoke_with(runner, command + [str(table_csv)], "seed", -1, via, tmp_path)
+@pytest.mark.parametrize("command", [
+    (["experiment", "2"], "seed", -1, 0),
+    (["kernels", "2"], "seed", -1, 0),
+    (["experiment", "1"], "k", 1, 2),
+    (["kernels", "1"], "k", 1, 2),
+])
+def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch, via, command):
+    args, key, value, low = command
+    fail_if_input_is_read(monkeypatch)
+    result = _invoke_with(runner, args + [str(table_csv)], key, value, via, tmp_path)
     assert result.exit_code == 2, result.output
-    assert "--seed must be at least 0, got -1" in result.output
+    assert f"--{key} must be at least {low}, got {value}" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["experiment", "2", "--kernel", "gaussian", "--sigma", "0"], "sigma must be positive"),
+    (["experiment", "2", "--kernel", "gaussian", "--sigma", "-1"], "sigma must be positive"),
+    (["experiment", "3", "--kernel", "polynomial", "--degree", "0"], "degree must be >= 1"),
+    (["experiment", "1", "--kernel", "gaussian"], "requires --sigma"),
+], ids=["sigma_zero", "sigma_negative", "degree_zero", "sigma_missing"])
+def test_kernel_parameter_out_of_range_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch,
+                                                         args, message):
+    fail_if_input_is_read(monkeypatch)
+    result = runner.invoke(main, args[:2] + [str(table_csv), "--out-dir", str(tmp_path / "out")]
+                           + args[2:])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_sigma_is_found_before_the_input_is_read(runner, table_csv, monkeypatch):
+    fail_if_input_is_read(monkeypatch)
+    result = runner.invoke(main, ["experiment", "2", str(table_csv), "--kernel", "gaussian",
+                                  "--sigma", "nan"])
+    assert result.exit_code == 1, result.output
+    assert "error: gaussian sigma must be positive and finite, got nan" in result.output
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("name", ["rbf", "poly", "sigmoid"])
+def test_kernel_name_outside_the_families_is_a_usage_error(runner, table_csv, tmp_path, via, name):
+    # --config once also took the aliases rbf and poly; it now takes the --kernel names only.
+    args = ["experiment", "2", str(table_csv), "--sigma", "0.5"]
+    if via == "flag":
+        result = runner.invoke(main, args + ["--kernel", name])
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"kernel": name}))
+        result = runner.invoke(main, args + ["--config", str(tmp_path / "cfg.json")])
+    assert result.exit_code == 2, result.output
+    assert "error:" not in result.output
+
+
+def _duplicate_actor(rows):
+    rows.append(rows[1])
+
+
+def _duplicate_column(rows):
+    for row in rows:
+        row.append(row[-1])
+
+
+def _eight_columns(rows):
+    rows[:] = [row[:2 + 8] for row in rows]
+
+
+def _bored_column(rows):
+    _duplicate_column(rows)
+    rows[0][-1] = "bored-normal-1-1"
+
+
+NON_CORPUS_TABLES = {  # case: (edit, part of the error message)
+    "duplicate_actor": (_duplicate_actor, "duplicate actor 1 (first seen at line 2)"),
+    "duplicate_column": (_duplicate_column, "canonical order"),
+    "eight_columns": (_eight_columns, "canonical order"),
+    "bored_column": (_bored_column, "canonical order"),
+}
+
+
+@pytest.mark.parametrize("command", [["experiment", "1"], ["experiment", "2"], ["experiment", "3"],
+                                     ["kernels", "3"], ["stats"]])
+@pytest.mark.parametrize("case", NON_CORPUS_TABLES)
+def test_table_outside_the_corpus_layout_is_an_error(runner, table_csv, tmp_path, command, case):
+    edit, message = NON_CORPUS_TABLES[case]
+    bad = rewrite_table(table_csv, edit)
+    result = runner.invoke(main, command + [str(bad), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output.startswith(f"error: {bad}:") and message in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert not (tmp_path / "out").exists()

@@ -1,5 +1,6 @@
 import json
 import os
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import pytest
 from conftest import make_matrix
 from entropic import dataset
 from entropic.errors import DatasetError
+from entropic.stats import EntropyMatrix
+from entropic.svm import KernelSpec
 from entropic.dataset import (
     EMOTIONS,
     ExperimentConfig,
     RecordingMeta,
+    NON_NEUTRAL,
     audio_columns,
     build_entropy_table,
     build_experiment1,
@@ -247,6 +251,148 @@ class TestBuildEntropyTable:
         assert np.array_equal(result.matrix.values, serial.matrix.values, equal_nan=True)
 
 
+class ReferencePoint(NamedTuple):
+    """The fields a labeled point had, provenance included."""
+
+    features: np.ndarray
+    label: object
+    provenance: tuple | None = None
+
+
+# The builders, the pairwise table and the config snapshot as they were
+# before the emotion list and the config fields each had one definition;
+# only the point class is ReferencePoint.
+
+
+def reference_build_experiment1(m, include_neutral: bool = True) -> list[ReferencePoint]:
+    dataset._require_complete(m)
+    points = []
+    for i, actor in enumerate(m.actor_meta):
+        for j, meta in enumerate(m.audio_meta):
+            if not include_neutral and meta.emotion == "neutral":
+                continue
+            points.append(
+                ReferencePoint(
+                    features=np.array([m.values[i, j]]),
+                    label=meta.emotion,
+                    provenance=(actor.actor_id, meta.emotion, j),
+                )
+            )
+    return points
+
+
+def reference_build_experiment2(m) -> list[ReferencePoint]:
+    dataset._require_complete(m)
+    points = []
+    for j, meta in enumerate(m.audio_meta):
+        points.append(
+            ReferencePoint(
+                features=m.values[:, j].copy(),
+                label=meta.emotion,
+                provenance=(meta.emotion, j),
+            )
+        )
+    return points
+
+
+def reference_build_experiment3(m) -> list[ReferencePoint]:
+    dataset._require_complete(m)
+    points = []
+    for i, actor in enumerate(m.actor_meta):
+        for emotion in EMOTIONS:
+            if emotion == "neutral":
+                continue
+            cols = [j for j, meta in enumerate(m.audio_meta) if meta.emotion == emotion]
+            points.append(
+                ReferencePoint(
+                    features=m.values[i, cols].copy(),
+                    label=emotion,
+                    provenance=(actor.actor_id, emotion),
+                )
+            )
+    return points
+
+
+def reference_experiment3_pairs() -> list[tuple[str, str]]:
+    emotions = [e for e in EMOTIONS if e != "neutral"]
+    pairs = []
+    for a_idx in range(len(emotions)):
+        for b_idx in range(a_idx + 1, len(emotions)):
+            pairs.append((emotions[a_idx], emotions[b_idx]))
+    return pairs
+
+
+def reference_pairwise_table_csv(pairwise: dict[tuple[str, str], float]) -> str:
+    emotions = [e for e in EMOTIONS if e != "neutral"]
+    lines = ["emotion," + ",".join(emotions[1:])]
+    for i, a in enumerate(emotions[:-1]):
+        cells = []
+        for b in emotions[1:]:
+            j = emotions.index(b)
+            cells.append(repr(pairwise[(a, b)]) if j > i else "")
+        lines.append(a + "," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_snapshot(config: ExperimentConfig, effective_kernel: KernelSpec) -> dict:
+    return {
+        "seed": config.seed,
+        "k": config.k,
+        "C": config.C,
+        "tol": config.tol,
+        "target_len": config.target_len,
+        "kernel": effective_kernel.describe(),
+        "include_neutral": config.include_neutral,
+    }
+
+
+def random_entropy_matrix(seed: int, n_actors: int):
+    rng = np.random.default_rng(seed)
+    return make_matrix(rng.normal(8.0, rng.uniform(1e-3, 3.0), (n_actors, 60)))
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_builders(self, seed):
+        m = random_entropy_matrix(seed, n_actors=(24, 12, 5)[seed % 3])
+        cases = [
+            (build_experiment1(m), reference_build_experiment1(m)),
+            (build_experiment1(m, include_neutral=False),
+             reference_build_experiment1(m, include_neutral=False)),
+            (build_experiment2(m), reference_build_experiment2(m)),
+            (build_experiment3(m), reference_build_experiment3(m)),
+        ]
+        for got, want in cases:
+            assert [p.label for p in got] == [p.label for p in want]
+            for g, w in zip(got, want):
+                assert g.features.dtype == np.float64
+                assert g.features.tobytes() == np.asarray(w.features, dtype=np.float64).tobytes()
+
+    def test_experiment3_pairs_in_reference_order(self, separable_matrix):
+        result = run_experiment(3, separable_matrix, ExperimentConfig(seed=0, k=3))
+        assert list(result.pairwise) == reference_experiment3_pairs()
+        assert list(NON_NEUTRAL) == [e for e in EMOTIONS if e != "neutral"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairwise_table_csv(self, seed):
+        rng = np.random.default_rng(seed)
+        pairwise = {pair: float(v) for pair, v in
+                    zip(reference_experiment3_pairs(), rng.uniform(0.0, 1.0, 21))}
+        assert dataset.pairwise_table_csv(pairwise) == reference_pairwise_table_csv(pairwise)
+
+    @pytest.mark.parametrize("config,kernel", [
+        (ExperimentConfig(), KernelSpec("linear")),
+        (ExperimentConfig(seed=13, k=3, C=0.1, tol=1e-4, target_len=500, include_neutral=False),
+         KernelSpec("gaussian", sigma=0.0132)),
+        (ExperimentConfig(kernel=KernelSpec("polynomial", degree=3, offset=0.0)),
+         KernelSpec("polynomial", degree=3, offset=0.0)),
+    ])
+    def test_snapshot(self, config, kernel):
+        got, want = config.snapshot(kernel), reference_snapshot(config, kernel)
+        assert got == want
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
+
+
 class TestExperimentBuilders:
     def test_census_1440_60_168(self, random_matrix):
         exp1 = build_experiment1(random_matrix)
@@ -275,11 +421,6 @@ class TestExperimentBuilders:
 
     def test_exp1_neutral_flag(self, random_matrix):
         assert len(build_experiment1(random_matrix, include_neutral=False)) == 1344
-
-    def test_provenance_is_unique(self, random_matrix):
-        for build in (build_experiment1, build_experiment2, build_experiment3):
-            provs = [p.provenance for p in build(random_matrix)]
-            assert len(provs) == len(set(provs))
 
     def test_incomplete_matrix_rejected(self, tmp_path):
         records = write_corpus(tmp_path, actors=[1])
@@ -341,6 +482,20 @@ class TestEntropyTableCsv:
         assert np.allclose(restored.values, random_matrix.values)
         assert restored.actor_meta == random_matrix.actor_meta
         assert restored.audio_meta == random_matrix.audio_meta
+
+    def test_nan_cells_and_actor_subsets_stay_valid(self, random_matrix, tmp_path):
+        rows = [1, 4, 9, 23]  # actors 2, 5, 10 and 24
+        values = random_matrix.values[rows].copy()
+        values[0, 5] = values[3, 59] = np.nan
+        subset = EntropyMatrix(values=values,
+                               actor_meta=tuple(random_matrix.actor_meta[i] for i in rows),
+                               audio_meta=random_matrix.audio_meta)
+        path = tmp_path / "table.csv"
+        path.write_text(entropy_table_csv(subset))
+        restored = read_entropy_table(path)
+        assert np.array_equal(restored.values, values, equal_nan=True)
+        assert restored.actor_meta == subset.actor_meta
+        assert restored.audio_meta == tuple(audio_columns())
 
     def test_rejects_non_table(self, tmp_path):
         p = tmp_path / "x.csv"

@@ -45,7 +45,7 @@ def reference_load_wav(path) -> Signal:
     else:
         raise SignalError(f"unsupported WAV sample format {data.dtype} in {path}")
 
-    return Signal(samples=samples, sample_rate=float(rate), source_id=str(path))
+    return Signal(samples=samples, sample_rate=float(rate))
 
 
 _GUID_TAIL = {"<": bytes.fromhex("00001000800000aa00389b71"),
@@ -328,7 +328,7 @@ def reference_load_csv_signal(path) -> Signal:
         raise SignalError(f"cannot read signal file {path}: {exc}")
     if not values:
         raise SignalError(f"empty file: {path}")
-    return Signal(samples=np.array(values), sample_rate=0.0, source_id=str(path))
+    return Signal(samples=np.array(values), sample_rate=0.0)
 
 
 GOOD_CSV_TOKENS = ["1_000", "-0", "-0.0", "+.5", "5.", "1e-5", "-2E+3", "1e-320", "1.7976931348623157e308",

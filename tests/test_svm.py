@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_blobs
+from conftest import make_blobs, scaled_kernel
 from entropic.dataset import audio_columns
 from entropic.errors import TrainingError
 from entropic import svm
@@ -16,9 +16,7 @@ from entropic.svm import (
     _sorted_classes,
     _stack,
     accuracy,
-    decision_value,
     default_kernel_grid,
-    kernel_eval,
     kernel_matrix,
     kfold_cross_validate,
     select_best_kernel,
@@ -38,19 +36,19 @@ TWO_POINTS = [LabeledPoint(np.array([-1.0]), "A"), LabeledPoint(np.array([1.0]),
 
 class TestKernelEval:
     def test_linear_dot(self):
-        assert kernel_eval(KernelSpec("linear"), [1, 2], [3, 4]) == 11.0
+        assert kernel_matrix(KernelSpec("linear"), [[1, 2]], [[3, 4]])[0, 0] == 11.0
 
     def test_polynomial(self):
         spec = KernelSpec("polynomial", degree=2, offset=1.0)
-        assert kernel_eval(spec, [1, 0], [0, 1]) == 1.0
+        assert kernel_matrix(spec, [[1, 0]], [[0, 1]])[0, 0] == 1.0
 
     def test_gaussian_at_zero_distance(self):
         spec = KernelSpec("gaussian", sigma=1.0)
-        assert kernel_eval(spec, [1.0, 2.0], [1.0, 2.0]) == pytest.approx(1.0)
+        assert kernel_matrix(spec, [[1.0, 2.0]], [[1.0, 2.0]])[0, 0] == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(TrainingError):
-            kernel_eval(KernelSpec("linear"), [1, 2], [1, 2, 3])
+            kernel_matrix(KernelSpec("linear"), [[1, 2]], [[1, 2, 3]])
 
     def test_invalid_specs(self):
         with pytest.raises(TrainingError):
@@ -93,8 +91,8 @@ class TestTrainBinary:
     def test_symmetric_two_point_problem(self):
         m = train_binary(TWO_POINTS, KernelSpec("linear"), C=10.0)
         assert m.bias == pytest.approx(0.0, abs=1e-6)
-        assert decision_value(m, [0.0]) == pytest.approx(0.0, abs=1e-6)
-        assert decision_value(m, [2.0]) > 0
+        assert m.decision_values([0.0])[0] == pytest.approx(0.0, abs=1e-6)
+        assert m.decision_values([2.0])[0] > 0
 
     def test_separable_blobs_perfect_training_accuracy(self):
         X, labels = make_blobs(seed=0)
@@ -383,7 +381,7 @@ class TestDecisionValue:
             kernel=KernelSpec("linear"),
             class_pair=("A", "B"),
         )
-        assert decision_value(m, [3.0, 4.0]) == 1.5
+        assert m.decision_values([3.0, 4.0])[0] == 1.5
 
     def test_label_flip_negates_decision(self):
         X, labels = make_blobs(seed=3)
@@ -396,12 +394,12 @@ class TestDecisionValue:
             class_pair=(m.class_pair[1], m.class_pair[0]),
         )
         v = np.array([1.0, 2.0])
-        assert decision_value(flipped, v) == pytest.approx(-decision_value(m, v))
+        assert flipped.decision_values([v])[0] == pytest.approx(-m.decision_values([v])[0])
 
     def test_dimension_mismatch(self):
         m = train_binary(TWO_POINTS, KernelSpec("linear"), C=1.0)
         with pytest.raises(TrainingError):
-            decision_value(m, [1.0, 2.0])
+            m.decision_values([1.0, 2.0])
 
 
 class TestMulticlass:
@@ -428,8 +426,8 @@ class TestMulticlass:
         data = points_from(X, labels)
         test = np.random.default_rng(2).normal(2.0, 3.0, (200, 2))
         base = train_binary(data, KernelSpec("gaussian", sigma=2.0), C=10.0).predict(test)
-        scaled_kernel = KernelSpec("gaussian", sigma=2.0, scale=7.3)
-        scaled = train_binary(data, scaled_kernel, C=10.0).predict(test)
+        with scaled_kernel(7.3):
+            scaled = train_binary(data, KernelSpec("gaussian", sigma=2.0), C=10.0).predict(test)
         assert scaled == base
 
 
