@@ -37,7 +37,6 @@ from .stats import (
     EntropyMatrix,
     boxplot_by_audio,
     correlation_matrix,
-    pearson,
     sex_grouped_correlation_means,
 )
 from .dataset import (

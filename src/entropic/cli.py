@@ -11,7 +11,8 @@ flag of one subcommand, e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for
 `entropy --target-len 3` (click auto-envvar); a bare ENTROPIC_TARGET_LEN is
 ignored. The effective configuration is echoed into every primary output.
 
-Exit codes: 0 success, 1 partial per-file failure, 2 invalid invocation.
+Exit codes: 0 success, 1 partial per-file failure or an error of the run
+(one `error:` line), 2 invalid invocation.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def _config_value_ok(key: str, value) -> bool:
     """Whether a --config value has the type its flag would give it.
 
     The default's type decides: an int default takes ints and a float one
-    any number; a None default also takes None. kernel takes a name.
+    any number a float can hold; a None default also takes None. kernel
+    takes a name.
     """
     default = DEFAULTS[key]
     if value is None:
@@ -60,7 +62,7 @@ def _config_value_ok(key: str, value) -> bool:
         return isinstance(value, str)
     if isinstance(default, int):
         return isinstance(value, int)
-    return isinstance(value, (int, float))
+    return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
 
 
 def _effective_config(config_path: str | None, flags: dict) -> dict:
@@ -69,7 +71,7 @@ def _effective_config(config_path: str | None, flags: dict) -> dict:
         try:
             with open(config_path, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise click.UsageError(f"cannot read config file {config_path}: {exc}")
         if not isinstance(file_cfg, dict):
             raise click.UsageError(f"config file {config_path} must hold a JSON object")
@@ -125,27 +127,44 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
     click.echo(f"wrote {path}", err=True)
 
 
-config_option = click.option("--config", "config_path", type=click.Path(), default=None,
-                             help="JSON config file; flags override its values.")
-target_len_option = click.option("--target-len", type=int, default=None,
-                                 help=f"Subsample length (default {DEFAULT_TARGET_LEN}).")
-out_dir_option = click.option("--out-dir", type=click.Path(file_okay=False), default=None,
-                              help="Write outputs here instead of stdout.")
+_OUT_DIR = click.Option(["--out-dir"], type=click.Path(file_okay=False),
+                        help="Write outputs here instead of stdout.")
+_SIGNAL_OPTIONS = (
+    click.Option(["--config", "config_path"], type=click.Path(),
+                 help="JSON config file; flags override its values."),
+    click.Option(["--target-len"], type=int, help=f"Subsample length (default {DEFAULT_TARGET_LEN})."),
+    _OUT_DIR,
+)
+# The arguments and options that `experiment` and `kernels` share.
+_EXPERIMENT_PARAMS = (
+    click.Argument(["exp_id"], type=click.IntRange(1, 3)),
+    click.Argument(["source"], type=click.Path()),
+    *_SIGNAL_OPTIONS,
+    click.Option(["--seed"], type=int),
+    click.Option(["--k"], type=int, help="CV fold count."),
+    click.Option(["--jobs"], type=int),
+)
 
 
-@click.group(context_settings={"auto_envvar_prefix": "ENTROPIC"})
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):  # an EntropicError a command lets through exits 1
+        try:
+            return super().invoke(ctx)
+        except EntropicError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main, context_settings={"auto_envvar_prefix": "ENTROPIC"})
 def main() -> None:
     """Persistent-entropy features and SVM classification for 1-D signals."""
 
 
-@main.command()
-@click.argument("inputs", nargs=-1, required=True, type=click.Path())
-@config_option
-@target_len_option
-@out_dir_option
-def entropy(inputs, config_path, target_len, out_dir) -> None:
+@main.command(params=[click.Argument(["inputs"], nargs=-1, required=True, type=click.Path()),
+                     *_SIGNAL_OPTIONS])
+def entropy(inputs, config_path, out_dir, **flags) -> None:
     """Compute persistent entropy for each input WAV/CSV signal."""
-    cfg = _effective_config(config_path, {"target_len": target_len})
+    cfg = _effective_config(config_path, flags)
     lines = ["path,samples,subsampled_to,bars,entropy"]
     failed = False
     for path in inputs:
@@ -162,14 +181,11 @@ def entropy(inputs, config_path, target_len, out_dir) -> None:
         sys.exit(1)
 
 
-@main.command()
-@click.argument("input_path", metavar="INPUT", type=click.Path())
-@config_option
-@target_len_option
-@out_dir_option
-def barcode(input_path, config_path, target_len, out_dir) -> None:
+@main.command(params=[click.Argument(["input_path"], metavar="INPUT", type=click.Path()),
+                     *_SIGNAL_OPTIONS])
+def barcode(input_path, config_path, out_dir, **flags) -> None:
     """Compute the persistence barcode of one signal as CSV."""
-    cfg = _effective_config(config_path, {"target_len": target_len})
+    cfg = _effective_config(config_path, flags)
     try:
         b = signal_barcode(_load_signal(input_path), cfg["target_len"])
     except EntropicError as exc:
@@ -178,75 +194,56 @@ def barcode(input_path, config_path, target_len, out_dir) -> None:
     _write(out_dir, "barcode.csv", barcode_to_csv(b))
 
 
-def _load_matrix(source: str, cfg: dict) -> tuple[st.EntropyMatrix, tuple]:
+def _load_matrix(source: str, cfg: dict) -> st.EntropyMatrix:
     path = Path(source)
     if path.is_dir():
         records = ds.scan_ravdess_tree(path)
     elif path.suffix == ".csv" and path.exists():
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="replace") as fh:  # the readers report bad UTF-8
             first = fh.readline()
         if first.startswith("actor_id,sex,"):
-            return ds.read_entropy_table(path), ()
+            return ds.read_entropy_table(path)
         records = ds.parse_manifest(path)
     else:
         raise click.UsageError(f"manifest, entropy table or corpus directory expected: {source}")
     result = ds.build_entropy_table(records, target_len=cfg["target_len"], jobs=cfg["jobs"])
     for p, msg in result.failures:
         click.echo(f"warning: {p}: {msg}", err=True)
-    return result.matrix, result.failures
+    return result.matrix
 
 
-@main.command()
-@click.argument("exp_id", type=click.IntRange(1, 3))
-@click.argument("source", type=click.Path())
-@config_option
-@target_len_option
-@out_dir_option
-@click.option("--seed", type=int, default=None)
-@click.option("--k", type=int, default=None, help="CV fold count.")
-@click.option("--kernel", type=click.Choice(svm.KERNEL_FAMILIES), default=None)
-@click.option("--C", "C", type=float, default=None)
-@click.option("--sigma", type=float, default=None)
-@click.option("--degree", type=int, default=None)
-@click.option("--offset", type=float, default=None)
-@click.option("--jobs", type=int, default=None)
-def experiment(exp_id, source, config_path, target_len, out_dir, seed, k, kernel,
-               C, sigma, degree, offset, jobs) -> None:
+def _experiment_config(cfg: dict, **fields) -> ds.ExperimentConfig:
+    # Built before any input is read, so that a bad parameter costs no decoding.
+    return ds.ExperimentConfig(seed=cfg["seed"], k=cfg["k"], tol=cfg["tol"],
+                               target_len=cfg["target_len"], **fields)
+
+
+@main.command(params=[
+    *_EXPERIMENT_PARAMS,
+    click.Option(["--kernel"], type=click.Choice(svm.KERNEL_FAMILIES)),
+    click.Option(["--C", "C"], type=float),
+    click.Option(["--sigma"], type=float),
+    click.Option(["--degree"], type=int),
+    click.Option(["--offset"], type=float),
+])
+def experiment(exp_id, source, config_path, out_dir, **flags) -> None:
     """Run experiment 1, 2 or 3 on a manifest, entropy table or corpus tree."""
-    cfg = _effective_config(config_path, {
-        "target_len": target_len, "seed": seed, "k": k, "kernel": kernel,
-        "C": C, "sigma": sigma, "degree": degree, "offset": offset, "jobs": jobs,
-    })
-    try:
-        # Built before any input is read, so a bad kernel parameter costs no decoding.
-        config = ds.ExperimentConfig(
-            seed=cfg["seed"], k=cfg["k"], C=cfg["C"], tol=cfg["tol"],
-            target_len=cfg["target_len"], kernel=_kernel_from_config(cfg),
-        )
-        matrix, _ = _load_matrix(source, cfg)
-        result = ds.run_experiment(exp_id, matrix, config)
-    except EntropicError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    cfg = _effective_config(config_path, flags)
+    config = _experiment_config(cfg, C=cfg["C"], kernel=_kernel_from_config(cfg))
+    result = ds.run_experiment(exp_id, _load_matrix(source, cfg), config)
     _write(out_dir, f"experiment{exp_id}.json", result.to_json() + "\n")
     if exp_id == 3:
         _write(out_dir, "experiment3_pairwise.csv", ds.pairwise_table_csv(result.pairwise))
 
 
-@main.command()
-@click.argument("table", type=click.Path(exists=True))
-@out_dir_option
+@main.command(params=[click.Argument(["table"], type=click.Path(exists=True)), _OUT_DIR])
 def stats(table, out_dir) -> None:
     """Correlation, sex-grouped means and box-plot summaries of an entropy table."""
-    try:
-        matrix = ds.read_entropy_table(table)
-        corr = st.correlation_matrix(matrix)
-        sexes = [a.sex for a in matrix.actor_meta]
-        means = st.sex_grouped_correlation_means(corr, sexes)
-        boxes = st.boxplot_by_audio(matrix)
-    except EntropicError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    matrix = ds.read_entropy_table(table)
+    corr = st.correlation_matrix(matrix)
+    sexes = [a.sex for a in matrix.actor_meta]
+    means = st.sex_grouped_correlation_means(corr, sexes)
+    boxes = st.boxplot_by_audio(matrix)
     for (ga, gb), value in means.items():
         if np.isnan(value):
             click.echo(f"warning: mean for ({ga},{gb}) undefined (group too small)", err=True)
@@ -255,34 +252,20 @@ def stats(table, out_dir) -> None:
     _write(out_dir, "boxplot.csv", st.boxplot_csv(boxes))
 
 
-@main.command()
-@click.argument("exp_id", type=click.IntRange(1, 3))
-@click.argument("source", type=click.Path())
-@config_option
-@target_len_option
-@out_dir_option
-@click.option("--seed", type=int, default=None)
-@click.option("--k", type=int, default=None)
-@click.option("--jobs", type=int, default=None)
-def kernels(exp_id, source, config_path, target_len, out_dir, seed, k, jobs) -> None:
+@main.command(params=list(_EXPERIMENT_PARAMS))
+def kernels(exp_id, source, config_path, out_dir, **flags) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    cfg = _effective_config(config_path, {
-        "target_len": target_len, "seed": seed, "k": k, "jobs": jobs,
-    })
-    try:
-        matrix, _ = _load_matrix(source, cfg)
-        builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
-        points = builder[exp_id](matrix)
-        result = svm.select_best_kernel(points, tol=cfg["tol"], k=cfg["k"], seed=cfg["seed"])
-    except EntropicError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    cfg = _effective_config(config_path, flags)
+    config = _experiment_config(cfg)
+    builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
+    points = builder[exp_id](_load_matrix(source, cfg))
+    result = svm.select_best_kernel(points, tol=config.tol, k=config.k, seed=config.seed)
     doc = {
         "experiment": exp_id,
         "best": {"kernel": result.kernel.describe(), "C": result.C,
                  "mean_accuracy": result.mean_accuracy},
         "table": [list(row) for row in result.table],
-        "config": {"seed": cfg["seed"], "k": cfg["k"], "target_len": cfg["target_len"]},
+        "config": {"seed": config.seed, "k": config.k, "target_len": config.target_len},
     }
     _write(out_dir, "kernels.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -147,7 +147,7 @@ def parse_manifest(path) -> list[RecordingMeta]:
                     )
                 seen[coord] = lineno
                 records.append(rec)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read manifest {path}: {exc}")
     return records
 
@@ -258,14 +258,12 @@ def _require_complete(m: EntropyMatrix) -> None:
         raise DatasetError(f"entropy matrix incomplete; missing {shown}{more}")
 
 
-def build_experiment1(m: EntropyMatrix, include_neutral: bool = True) -> list[svm.LabeledPoint]:
+def build_experiment1(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     """One 1-D point per recording, labeled by emotion."""
     _require_complete(m)
     points = []
     for row in m.values:
         for value, meta in zip(row, m.audio_meta):
-            if not include_neutral and meta.emotion == "neutral":
-                continue
             points.append(svm.LabeledPoint(features=np.array([value]), label=meta.emotion))
     return points
 
@@ -305,7 +303,9 @@ class ExperimentConfig:
     tol: float = 1e-3
     target_len: int = DEFAULT_TARGET_LEN
     kernel: svm.KernelSpec | None = None  # None: the experiment's default kernel
-    include_neutral: bool = True
+
+    def __post_init__(self) -> None:
+        svm.check_solver_params(self.C, self.tol)
 
     def snapshot(self, effective_kernel: svm.KernelSpec) -> dict:
         return {**asdict(self), "kernel": effective_kernel.describe()}
@@ -345,7 +345,7 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
        (x.y + 1)^2 polynomial kernel by default; emits the pairwise table.
     """
     if exp_id == 1:
-        points = build_experiment1(m, include_neutral=config.include_neutral)
+        points = build_experiment1(m)
         kernel = config.kernel or svm.KernelSpec("linear")
         cv = svm.kfold_cross_validate(
             points, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
@@ -431,7 +431,7 @@ def read_entropy_table(path) -> EntropyMatrix:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read entropy table {path}: {exc}")
     if not rows or rows[0][:2] != ["actor_id", "sex"]:
         raise DatasetError(f"{path}: not an entropy table CSV")

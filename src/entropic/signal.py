@@ -21,7 +21,6 @@ DEFAULT_TARGET_LEN = 10000
 class Signal:
     """An ordered sequence of finite real amplitudes.
 
-    ``sample_rate`` is samples/second; 0 is allowed for rate-less CSV input.
     Audio loaders normalize amplitudes to [-1, 1]. ``levels``, if given,
     holds one integer per sample that orders exactly like the samples (the
     raw frames of mono 8- and 16-bit PCM); ``canonicalize`` ranks the levels
@@ -29,7 +28,6 @@ class Signal:
     """
 
     samples: np.ndarray
-    sample_rate: float = 0.0
     levels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -91,8 +89,8 @@ _GUID_TAIL = {"<": bytes.fromhex("00001000800000aa00389b71"),
               ">": bytes.fromhex("00000010800000aa00389b71")}
 
 
-def _wav_format(raw: bytes, pos: int, size: int, end: str, path) -> tuple[int, int, np.dtype]:
-    """Sample rate, channels and sample dtype of the fmt chunk at ``pos``.
+def _wav_format(raw: bytes, pos: int, size: int, end: str, path) -> tuple[int, np.dtype]:
+    """Channels and sample dtype of the fmt chunk at ``pos``.
 
     24-bit PCM gets the 3-byte dtype V3, which the caller widens.
     """
@@ -108,17 +106,17 @@ def _wav_format(raw: bytes, pos: int, size: int, end: str, path) -> tuple[int, i
     if width * channels != block_align or width == 0:
         raise SignalError(f"WAV block align {block_align} does not fit {channels} channels: {path}")
     if tag == _PCM and bits <= 8 and width == 1:
-        return rate, channels, np.dtype(np.uint8)
+        return channels, np.dtype(np.uint8)
     if tag == _PCM and bits > 8 and width in (2, 3, 4):
-        return rate, channels, np.dtype("V3" if width == 3 else f"{end}i{width}")
+        return channels, np.dtype("V3" if width == 3 else f"{end}i{width}")
     if tag == _IEEE_FLOAT and bits in (32, 64) and width in (4, 8):
-        return rate, channels, np.dtype(f"{end}f{width}")
+        return channels, np.dtype(f"{end}f{width}")
     raise SignalError(f"unsupported WAV sample format (tag {tag:#x}, {bits} bits in "
                       f"{width} bytes) in {path}")
 
 
-def _read_wav(path, target_len: int | None) -> tuple[int, np.ndarray]:
-    """Sample rate and frames of a WAV file, as native integers or floats.
+def _read_wav(path, target_len: int | None) -> np.ndarray:
+    """The frames of a WAV file, as native integers or floats.
 
     Reads RIFF and RF64 (little-endian) and RIFX (big-endian) WAVE files of
     PCM or IEEE-float samples, from a plain or WAVE_FORMAT_EXTENSIBLE fmt
@@ -159,7 +157,7 @@ def _read_wav(path, target_len: int | None) -> tuple[int, np.ndarray]:
         if rf64_size is None:
             raise SignalError(f"RF64 file without a ds64 chunk: {path}")
         size = rf64_size
-    rate, channels, dtype = fmt
+    channels, dtype = fmt
     n = min(size, len(raw) - pos) // (channels * dtype.itemsize)
     if n == 0:
         raise SignalError(f"zero-length audio: {path}")
@@ -175,8 +173,8 @@ def _read_wav(path, target_len: int | None) -> tuple[int, np.ndarray]:
         wide = np.zeros(frames.shape + (4,), dtype=np.uint8)
         wide[..., slice(1, 4) if end == "<" else slice(0, 3)] = (
             frames.view(np.uint8).reshape(frames.shape + (3,)))
-        return rate, wide.view(end + "i4")[..., 0].astype(np.int32, copy=False)
-    return rate, frames.astype(dtype.newbyteorder("="), copy=False)
+        return wide.view(end + "i4")[..., 0].astype(np.int32, copy=False)
+    return frames.astype(dtype.newbyteorder("="), copy=False)
 
 
 def load_wav(path, target_len: int | None = None) -> Signal:
@@ -187,7 +185,7 @@ def load_wav(path, target_len: int | None = None) -> Signal:
     n))`` for a file of n frames. A float file with NaN in any frame is
     rejected. Mono 8- and 16-bit PCM also carries its frames as ``levels``.
     """
-    rate, data = _read_wav(path, target_len)
+    data = _read_wav(path, target_len)
     # Multi-channel input is averaged per frame before renormalizing, so a
     # stereo frame (1000, 3000) at 16 bit becomes 2000/32768.
     samples = data.astype(np.float64)
@@ -203,7 +201,7 @@ def load_wav(path, target_len: int | None = None) -> Signal:
     else:
         samples = np.clip(samples, -1.0, 1.0)
     levels = data if data.ndim == 1 and data.dtype in (np.uint8, np.int16) else None
-    return Signal(samples=samples, sample_rate=float(rate), levels=levels)
+    return Signal(samples=samples, levels=levels)
 
 
 def load_csv_signal(path) -> Signal:
@@ -239,7 +237,7 @@ def load_csv_signal(path) -> Signal:
                 raise SignalError(f"{path}: non-finite value at line {lineno}")
     if not texts:
         raise SignalError(f"empty file: {path}")
-    return Signal(samples=samples, sample_rate=0.0)
+    return Signal(samples=samples)
 
 
 def subsample(s: Signal, target_len: int) -> Signal:
@@ -253,7 +251,7 @@ def subsample(s: Signal, target_len: int) -> Signal:
         return s  # the indices are 0..n-1
     idx = _subsample_indices(len(s), target_len)
     levels = None if s.levels is None else s.levels[idx]
-    return Signal(samples=s.samples[idx], sample_rate=s.sample_rate, levels=levels)
+    return Signal(samples=s.samples[idx], levels=levels)
 
 
 def canonicalize(s: Signal) -> CanonicalSignal:

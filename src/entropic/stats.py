@@ -69,15 +69,6 @@ def _row_correlations(x: np.ndarray) -> np.ndarray:
     return cov / np.sqrt(var[:, None] * var[None, :])
 
 
-def pearson(a: Sequence[float], b: Sequence[float]) -> float:
-    """Pearson correlation coefficient cov(a,b) / (sigma_a * sigma_b)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.size != b.size:
-        raise StatsError(f"length mismatch: {a.size} vs {b.size}")
-    return float(_row_correlations(np.stack([a.ravel(), b.ravel()]))[0, 1])
-
-
 def correlation_matrix(m: EntropyMatrix) -> np.ndarray:
     """Symmetric actor-by-actor Pearson matrix with exact unit diagonal."""
     if not m.complete:

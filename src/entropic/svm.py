@@ -138,6 +138,14 @@ def _sorted_classes(labels: Sequence) -> list:
     return sorted(set(labels), key=lambda c: (str(type(c)), c))
 
 
+def check_solver_params(C: float, tol: float) -> None:
+    """Refuse a C or tol that is not positive and finite."""
+    if not 0 < C < math.inf:
+        raise TrainingError(f"C must be positive and finite, got {C}")
+    if not 0 < tol < math.inf:
+        raise TrainingError(f"tol must be positive and finite, got {tol}")
+
+
 def train_binary(
     data: Sequence[LabeledPoint],
     kernel: KernelSpec,
@@ -162,10 +170,7 @@ def train_binary(
     sum(alpha * y) = 0; a start that already meets tol returns its alphas
     unchanged after 0 updates.
     """
-    if not 0 < C < math.inf:
-        raise TrainingError(f"C must be positive and finite, got {C}")
-    if not 0 < tol < math.inf:
-        raise TrainingError(f"tol must be positive and finite, got {tol}")
+    check_solver_params(C, tol)
     X, labels = _stack(data)
     classes = _sorted_classes(labels)
     if len(classes) != 2:
@@ -275,25 +280,19 @@ class MulticlassModel:
 
     def predict(self, X: np.ndarray) -> list:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        n = X.shape[0]
-        votes = {c: np.zeros(n) for c in self.classes}
-        margins = {c: np.zeros(n) for c in self.classes}
+        index = {c: i for i, c in enumerate(self.classes)}
+        votes = np.zeros((len(self.classes), X.shape[0]))  # classes x points
+        margins = np.zeros_like(votes)
+        points = np.arange(X.shape[0])
         for m in self.models:
             values = m.decision_values(X)
             neg, pos = m.class_pair
-            neg_wins = values < 0
-            votes[neg] += neg_wins
-            votes[pos] += ~neg_wins
-            margins[neg] += np.where(neg_wins, np.abs(values), 0.0)
-            margins[pos] += np.where(neg_wins, 0.0, np.abs(values))
-        out = []
-        for r in range(n):
-            best = max(
-                range(len(self.classes)),
-                key=lambda ci: (votes[self.classes[ci]][r], margins[self.classes[ci]][r], -ci),
-            )
-            out.append(self.classes[best])
-        return out
+            winner = np.where(values < 0, index[neg], index[pos])
+            votes[winner, points] += 1.0
+            margins[winner, points] += np.abs(values)
+        # Most votes, then the largest margin; argmax keeps the first class of a tie.
+        best = np.where(votes == votes.max(axis=0), margins, -np.inf).argmax(axis=0)
+        return [self.classes[i] for i in best]
 
 
 def train_multiclass(
@@ -419,7 +418,7 @@ def kfold_cross_validate(
     k: int = 5,
     seed: int = 0,
 ) -> CvResult:
-    """Seeded stratified k-fold CV; trains one-vs-one when > 2 classes."""
+    """Seeded stratified k-fold CV of a one-vs-one model (one pair for two classes)."""
     return _cv_path(data, kernel, (C,), tol, k, seed)[0]
 
 
@@ -428,20 +427,17 @@ def _cv_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[floa
     """k-fold CV of every C, on the same folds; each fold's models are fitted along Cs."""
     X, labels = _stack(data)
     folds, stratified = stratified_folds(labels, k, seed)
-    binary = len(set(labels)) == 2
     accs: list[list[float]] = [[] for _ in Cs]
     # (iterations, kkt_gap, converged) of each fit; the models themselves would
     # keep every fold's ensembles in memory.
     fits: list[list[tuple]] = [[] for _ in Cs]
     for fold in folds:
-        test_mask = np.zeros(len(labels), dtype=bool)
-        test_mask[fold] = True
-        train_pts = [p for p, held in zip(data, test_mask) if not held]
+        held = set(fold.tolist())
+        train_pts = [p for i, p in enumerate(data) if i not in held]
         truth = [labels[i] for i in fold]
-        path = (_binary_path if binary else _one_vs_one_path)(train_pts, kernel, Cs, tol)
-        for c, model in enumerate(path):
-            accs[c].append(accuracy(model.predict(X[test_mask]), truth))
-            fits[c] += [(m.iterations, m.kkt_gap, m.converged) for m in ((model,) if binary else model.models)]
+        for c, model in enumerate(_one_vs_one_path(train_pts, kernel, Cs, tol)):
+            accs[c].append(accuracy(model.predict(X[fold]), truth))
+            fits[c] += [(m.iterations, m.kkt_gap, m.converged) for m in model.models]
     results = []
     for a, fit in zip(accs, fits):
         iterations, gaps, converged = zip(*fit)

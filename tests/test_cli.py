@@ -406,6 +406,28 @@ def test_non_finite_sigma_is_found_before_the_input_is_read(runner, table_csv, m
     assert "error: gaussian sigma must be positive and finite, got nan" in result.output
 
 
+# C and tol are checked when the run's ExperimentConfig is built, before any input is read.
+@pytest.mark.parametrize("args,config,message", [
+    (["experiment", "2", "--C", "0"], None, "C must be positive and finite, got 0.0"),
+    (["experiment", "2", "--C", "-1"], None, "C must be positive and finite, got -1.0"),
+    (["experiment", "2", "--C", "nan"], None, "C must be positive and finite, got nan"),
+    (["experiment", "2"], {"tol": 0}, "tol must be positive and finite, got 0"),
+    (["kernels", "2"], {"tol": 0}, "tol must be positive and finite, got 0"),
+], ids=["C_zero", "C_negative", "C_nan", "tol_zero", "kernels_tol_zero"])
+def test_bad_C_or_tol_is_found_before_the_input_is_read(runner, table_csv, tmp_path, monkeypatch,
+                                                        args, config, message):
+    fail_if_input_is_read(monkeypatch)
+    args = args[:2] + [str(table_csv), "--out-dir", str(tmp_path / "out")] + args[2:]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {message}\n"
+    assert isinstance(result.exception, SystemExit)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("name", ["rbf", "poly", "sigmoid"])
 def test_kernel_name_outside_the_families_is_a_usage_error(runner, table_csv, tmp_path, via, name):

@@ -1,0 +1,160 @@
+"""Malformed input of every kind reaches the user as an exit code, never a traceback.
+
+Each test drives `main` through CliRunner with one kind of generated input:
+manifests, entropy tables, --config values, CSV signals and WAV files whose
+header is mutated or cut short. The exit code must be 0, 1 or 2, and the only
+exception that may leave a command is SystemExit. The examples are
+derandomized, so a run is repeatable, and bounded to keep the suite fast.
+"""
+
+import json
+import struct
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import make_matrix
+from entropic.cli import DEFAULTS, main
+from entropic.dataset import MANIFEST_HEADER, entropy_table_csv
+
+fuzz = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+CELL = st.one_of(TEXT, st.sampled_from(["", "1", "24", "25", "0", "-1", "male", "female", "x",
+                                        "neutral", "happy", "normal", "strong", "2", "nan",
+                                        "inf", "1e999", "8.1", "a.wav", "b.csv",
+                                        "x" * 131_073]))  # above the csv module's field limit
+# A file's bytes: well-formed text, or any bytes, invalid UTF-8 included.
+RAW = st.one_of(st.binary(max_size=64), TEXT.map(str.encode))
+
+
+def run(files: dict, args) -> None:
+    """Write files into a fresh directory and run the command on them; an
+    argument @name stands for the file of that name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        argv = [str(Path(tmp) / a[1:]) if a.startswith("@") else a for a in args]
+        result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv, result.output, result.exc_info)
+    assert "Traceback" not in result.output
+
+
+def table_rows(n_actors: int) -> list[list[str]]:
+    values = np.random.default_rng(n_actors).normal(8.0, 0.1, (n_actors, 60))
+    return [line.split(",") for line in entropy_table_csv(make_matrix(values)).splitlines()]
+
+
+def signal_bytes(n: int = 64) -> bytes:
+    return "".join(f"{float(v)!r}\n" for v in np.random.default_rng(n).normal(size=n)).encode()
+
+
+@st.composite
+def manifests(draw) -> bytes:
+    header = draw(st.one_of(st.just(MANIFEST_HEADER), st.lists(CELL, max_size=8)))
+    rows = draw(st.lists(st.one_of(
+        st.lists(CELL, min_size=7, max_size=7),
+        st.lists(CELL, max_size=9),
+        st.builds(lambda actor, emotion, intensity: ["a.wav", actor, "male", emotion, intensity, "1", "1"],
+                  CELL, CELL, CELL),
+    ), max_size=4))
+    return "\n".join(",".join(row) for row in [header, *rows]).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
+
+
+# The examples are inputs that once gave a traceback.
+@fuzz
+@given(manifest=manifests(), command=st.sampled_from([["experiment", "2"], ["kernels", "3"]]))
+@example(manifest=",".join(MANIFEST_HEADER).encode() + b"\n\xff", command=["experiment", "2"])
+@example(manifest=b"x" * 131_073 + b"\n", command=["experiment", "2"])
+def test_malformed_manifest(manifest, command):
+    run({"m.csv": manifest, "a.wav": b"RIFF", "b.csv": signal_bytes()}, command + ["@m.csv"])
+
+
+@st.composite
+def tables(draw) -> bytes:
+    rows = table_rows(draw(st.integers(2, 4)))
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.integers(0, len(rows) - 1))
+        edit = draw(st.sampled_from(["cell", "drop_cell", "add_cell", "drop_row", "copy_row"]))
+        if edit == "cell":
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(CELL)
+        elif edit == "drop_cell" and rows[r]:
+            rows[r].pop(draw(st.integers(0, len(rows[r]) - 1)))
+        elif edit == "add_cell":
+            rows[r].append(draw(CELL))
+        elif edit == "drop_row" and len(rows) > 1:
+            rows.pop(r)
+        elif edit == "copy_row":
+            rows.append(list(rows[r]))
+    text = "\n".join(",".join(row) for row in rows).encode()
+    return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
+
+
+@fuzz
+@given(table=tables(), command=st.sampled_from([["stats"], ["experiment", "3"], ["experiment", "2"]]))
+@example(table=b"actor_id,sex,\xff\n", command=["stats"])
+@example(table=b"actor_id,sex," + b"x" * 131_073 + b"\n", command=["experiment", "3"])
+def test_malformed_entropy_table(table, command):
+    run({"t.csv": table}, command + ["@t.csv"])
+
+
+CONFIG_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30), st.integers(), st.floats(), TEXT,
+    st.sampled_from([2**70, 10**400, -10**400]),  # 10**400 does not fit a float
+    st.sampled_from(["linear", "polynomial", "gaussian"]),
+    st.lists(st.integers(), max_size=2), st.dictionaries(TEXT, st.integers(), max_size=1),
+)
+
+
+@fuzz
+@given(config=st.one_of(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), CONFIG_VALUE, max_size=4), RAW),
+       command=st.sampled_from([["entropy", "@s.csv"], ["barcode", "@s.csv"],
+                                ["experiment", "3", "@t.csv"], ["experiment", "2", "@t.csv"]]))
+@example(config=b"\xff", command=["entropy", "@s.csv"])
+@example(config={"C": 10**400}, command=["experiment", "3", "@t.csv"])
+@example(config={"kernel": "gaussian", "sigma": 10**400}, command=["experiment", "3", "@t.csv"])
+@example(config={"kernel": "polynomial", "offset": -10**400}, command=["experiment", "3", "@t.csv"])
+def test_config_values(config, command):
+    """A config is a JSON object of any keys and values, or any bytes."""
+    table = "\n".join(",".join(row) for row in table_rows(3)).encode()
+    config_text = config if isinstance(config, bytes) else json.dumps(config).encode()
+    run({"c.json": config_text, "s.csv": signal_bytes(), "t.csv": table},
+        command + ["--config", "@c.json"])
+
+
+@fuzz
+@given(signal=st.one_of(RAW, st.lists(CELL, max_size=20).map(lambda lines: "\n".join(lines).encode())),
+       command=st.sampled_from([["entropy"], ["barcode"], ["entropy", "--target-len", "3"]]))
+def test_csv_signal(signal, command):
+    run({"s.csv": signal}, command[:1] + ["@s.csv"] + command[1:])
+
+
+def wav_bytes(tag: int, channels: int, bits: int, n: int = 40) -> bytes:
+    width = max(1, bits // 8)
+    data = np.random.default_rng(bits).integers(0, 256, n * channels * width, dtype=np.uint8).tobytes()
+    fmt = struct.pack("<HHIIHH", tag, channels, 8000, 8000 * channels * width, channels * width, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt + b"data" + struct.pack("<I", len(data)) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@st.composite
+def wavs(draw) -> bytes:
+    tag, bits = draw(st.sampled_from([(1, 8), (1, 16), (1, 24), (1, 32), (3, 32), (3, 64)]))
+    raw = bytearray(wav_bytes(tag, draw(st.integers(1, 2)), bits))
+    for _ in range(draw(st.integers(0, 4))):  # the header is the first 44 bytes
+        raw[draw(st.integers(0, 47))] = draw(st.integers(0, 255))
+    if draw(st.booleans()):
+        del raw[draw(st.integers(0, len(raw))):]
+    return bytes(raw)
+
+
+@fuzz
+@given(wav=wavs(), command=st.sampled_from([["entropy"], ["barcode"], ["entropy", "--target-len", "5"]]))
+def test_mutated_or_truncated_wav(wav, command):
+    run({"w.wav": wav}, command[:1] + ["@w.wav"] + command[1:])

@@ -264,13 +264,11 @@ class ReferencePoint(NamedTuple):
 # only the point class is ReferencePoint.
 
 
-def reference_build_experiment1(m, include_neutral: bool = True) -> list[ReferencePoint]:
+def reference_build_experiment1(m) -> list[ReferencePoint]:
     dataset._require_complete(m)
     points = []
     for i, actor in enumerate(m.actor_meta):
         for j, meta in enumerate(m.audio_meta):
-            if not include_neutral and meta.emotion == "neutral":
-                continue
             points.append(
                 ReferencePoint(
                     features=np.array([m.values[i, j]]),
@@ -342,7 +340,6 @@ def reference_snapshot(config: ExperimentConfig, effective_kernel: KernelSpec) -
         "tol": config.tol,
         "target_len": config.target_len,
         "kernel": effective_kernel.describe(),
-        "include_neutral": config.include_neutral,
     }
 
 
@@ -357,8 +354,6 @@ class TestMatchesReference:
         m = random_entropy_matrix(seed, n_actors=(24, 12, 5)[seed % 3])
         cases = [
             (build_experiment1(m), reference_build_experiment1(m)),
-            (build_experiment1(m, include_neutral=False),
-             reference_build_experiment1(m, include_neutral=False)),
             (build_experiment2(m), reference_build_experiment2(m)),
             (build_experiment3(m), reference_build_experiment3(m)),
         ]
@@ -382,7 +377,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("config,kernel", [
         (ExperimentConfig(), KernelSpec("linear")),
-        (ExperimentConfig(seed=13, k=3, C=0.1, tol=1e-4, target_len=500, include_neutral=False),
+        (ExperimentConfig(seed=13, k=3, C=0.1, tol=1e-4, target_len=500),
          KernelSpec("gaussian", sigma=0.0132)),
         (ExperimentConfig(kernel=KernelSpec("polynomial", degree=3, offset=0.0)),
          KernelSpec("polynomial", degree=3, offset=0.0)),
@@ -418,9 +413,6 @@ class TestExperimentBuilders:
         labels = {p.label for p in build_experiment3(random_matrix)}
         assert "neutral" not in labels
         assert len(labels) == 7
-
-    def test_exp1_neutral_flag(self, random_matrix):
-        assert len(build_experiment1(random_matrix, include_neutral=False)) == 1344
 
     def test_incomplete_matrix_rejected(self, tmp_path):
         records = write_corpus(tmp_path, actors=[1])

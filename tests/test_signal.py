@@ -45,7 +45,7 @@ def reference_load_wav(path) -> Signal:
     else:
         raise SignalError(f"unsupported WAV sample format {data.dtype} in {path}")
 
-    return Signal(samples=samples, sample_rate=float(rate))
+    return Signal(samples=samples)
 
 
 _GUID_TAIL = {"<": bytes.fromhex("00001000800000aa00389b71"),
@@ -114,7 +114,6 @@ KINDS = ("u8", "i16", "i24", "i32", "f32", "f64")
 
 def assert_same_signal(got: Signal, want: Signal):
     assert got.samples.tobytes() == want.samples.tobytes()
-    assert got.sample_rate == want.sample_rate
 
 
 class TestSignal:
@@ -143,7 +142,6 @@ class TestLoadWav:
         build_wav(path, np.array([[0], [16384], [-32768]], dtype=np.int16))
         s = load_wav(path)
         assert np.allclose(s.samples, [0.0, 0.5, -1.0])
-        assert s.sample_rate == 8000
 
     def test_stereo_averaged_per_frame(self, tmp_path):
         path = tmp_path / "stereo.wav"
@@ -328,7 +326,7 @@ def reference_load_csv_signal(path) -> Signal:
         raise SignalError(f"cannot read signal file {path}: {exc}")
     if not values:
         raise SignalError(f"empty file: {path}")
-    return Signal(samples=np.array(values), sample_rate=0.0)
+    return Signal(samples=np.array(values))
 
 
 GOOD_CSV_TOKENS = ["1_000", "-0", "-0.0", "+.5", "5.", "1e-5", "-2E+3", "1e-320", "1.7976931348623157e308",
@@ -366,7 +364,6 @@ class TestLoadCsv:
         path.write_text("1.0\n2.5\n-3.0\n")
         s = load_csv_signal(path)
         assert np.allclose(s.samples, [1.0, 2.5, -3.0])
-        assert s.sample_rate == 0.0
 
     def test_non_numeric_line_reported(self, tmp_path):
         path = tmp_path / "s.csv"

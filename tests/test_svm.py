@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -694,3 +695,129 @@ class TestStratifierMatchesReference:
             assert got_strat == want_strat
             for g, w in zip(got_folds, want_folds, strict=True):
                 assert_same_indices(g, w)
+
+
+# MulticlassModel.predict and the two-class branch of _cv_path as they were
+# before the vote moved into class x point arrays and two-class CV went
+# through one-vs-one, kept as the references they must match.
+
+
+def reference_predict(model, X) -> list:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n = X.shape[0]
+    votes = {c: np.zeros(n) for c in model.classes}
+    margins = {c: np.zeros(n) for c in model.classes}
+    for m in model.models:
+        values = m.decision_values(X)
+        neg, pos = m.class_pair
+        neg_wins = values < 0
+        votes[neg] += neg_wins
+        votes[pos] += ~neg_wins
+        margins[neg] += np.where(neg_wins, np.abs(values), 0.0)
+        margins[pos] += np.where(neg_wins, 0.0, np.abs(values))
+    out = []
+    for r in range(n):
+        best = max(
+            range(len(model.classes)),
+            key=lambda ci: (votes[model.classes[ci]][r], margins[model.classes[ci]][r], -ci),
+        )
+        out.append(model.classes[best])
+    return out
+
+
+def reference_cv_path(data, kernel, Cs, tol, k, seed) -> list[svm.CvResult]:
+    X, labels = _stack(data)
+    folds, stratified = stratified_folds(labels, k, seed)
+    binary = len(set(labels)) == 2
+    accs: list[list[float]] = [[] for _ in Cs]
+    fits: list[list[tuple]] = [[] for _ in Cs]
+    for fold in folds:
+        test_mask = np.zeros(len(labels), dtype=bool)
+        test_mask[fold] = True
+        train_pts = [p for p, held in zip(data, test_mask) if not held]
+        truth = [labels[i] for i in fold]
+        path = (svm._binary_path if binary else svm._one_vs_one_path)(train_pts, kernel, Cs, tol)
+        for c, model in enumerate(path):
+            accs[c].append(accuracy(model.predict(X[test_mask]), truth))
+            fits[c] += [(m.iterations, m.kkt_gap, m.converged) for m in ((model,) if binary else model.models)]
+    results = []
+    for a, fit in zip(accs, fits):
+        iterations, gaps, converged = zip(*fit)
+        results.append(svm.CvResult(
+            fold_accuracies=tuple(a),
+            mean_accuracy=float(np.mean(a)),
+            stratified=stratified,
+            fits=len(fit),
+            iterations=sum(iterations),
+            kkt_gap=max(gaps),
+            unconverged=converged.count(False),
+        ))
+    return results
+
+
+@dataclasses.dataclass(frozen=True)
+class FixedValues:
+    """A stand-in binary model whose decision values are given."""
+
+    class_pair: tuple
+    values: np.ndarray
+
+    def decision_values(self, X):
+        return self.values
+
+
+def random_vote_models(rng):
+    """A one-vs-one ensemble over 2-6 classes with decision values drawn
+    from a few small integers, so that exact vote and margin ties are common."""
+    classes = tuple(_sorted_classes(list(rng.choice([0, 1, 2, "a", "b", "c"], int(rng.integers(2, 7)),
+                                                    replace=False))))
+    n = int(rng.integers(1, 40))
+    levels = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 0.5 * rng.normal()])
+    models = tuple(FixedValues(pair, levels[rng.integers(len(levels), size=n)])
+                   for pair in itertools.combinations(classes, 2))
+    return svm.MulticlassModel(classes=classes, models=models), np.zeros((n, 1))
+
+
+class TestVoteMatchesReference:
+    def test_random_decision_values_with_ties(self):
+        rng = np.random.default_rng(29)
+        vote_ties = margin_ties = 0
+        for _ in range(400):
+            model, X = random_vote_models(rng)
+            got, want = model.predict(X), reference_predict(model, X)
+            assert got == want
+            assert [type(c) for c in got] == [type(c) for c in want]
+            for r in range(X.shape[0]):  # count the points the tie-breaks decide
+                tally = {c: [0, 0.0] for c in model.classes}
+                for m in model.models:
+                    v = m.values[r]
+                    tally[m.class_pair[int(v >= 0)]][0] += 1
+                    tally[m.class_pair[int(v >= 0)]][1] += abs(v)
+                top = max(tally.values())[0]
+                tied = [margin for votes, margin in tally.values() if votes == top]
+                vote_ties += len(tied) > 1
+                margin_ties += tied.count(max(tied)) > 1
+        assert vote_ties > 1000 and margin_ties > 300
+
+    def test_continuous_decision_values(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            model, X = random_vote_models(rng)
+            model = dataclasses.replace(model, models=tuple(
+                FixedValues(m.class_pair, rng.normal(size=X.shape[0]) * 10.0 ** rng.integers(-3, 4))
+                for m in model.models))
+            assert model.predict(X) == reference_predict(model, X)
+
+
+class TestTwoClassCvMatchesReference:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_warm_start_problems(self, k):
+        for seed, (data, kernel) in enumerate(warm_start_problems()):
+            got = svm._cv_path(data, kernel, DEFAULT_C_GRID, 1e-3, k, seed)
+            want = reference_cv_path(data, kernel, DEFAULT_C_GRID, 1e-3, k, seed)
+            for g, w in zip(got, want, strict=True):
+                assert g.fold_accuracies == w.fold_accuracies
+                assert (g.fits, g.iterations, g.unconverged, g.stratified) == (
+                    w.fits, w.iterations, w.unconverged, w.stratified)
+                assert np.float64(g.kkt_gap).view(np.int64) == np.float64(w.kkt_gap).view(np.int64)
+                assert g.mean_accuracy == w.mean_accuracy
