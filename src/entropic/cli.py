@@ -5,9 +5,10 @@ kernel/C grid search for each of the three experiments; `experiment N` runs
 one experiment with one kernel and C. Option precedence is built-in defaults
 < --config JSON file < explicit flags. The defaults are those of
 ExperimentConfig and KernelSpec (polynomial: degree 2, offset 1). A --config
-key is a flag name with underscores (target_len for --target-len); stats
-reads no config. An environment variable ENTROPIC_<COMMAND>_<OPTION> sets a
-flag of one subcommand, e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for
+key is one of the command's flag names with underscores (target_len for
+--target-len), or tol for experiment and kernels; any other key exits 2.
+stats reads no config. An environment variable ENTROPIC_<COMMAND>_<OPTION>
+sets a flag of one subcommand, e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for
 `entropy --target-len 3` (click auto-envvar); a bare ENTROPIC_TARGET_LEN is
 ignored. The effective configuration is echoed into every primary output.
 
@@ -65,8 +66,9 @@ def _config_value_ok(key: str, value) -> bool:
     return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
 
 
-def _effective_config(config_path: str | None, flags: dict) -> dict:
-    cfg = dict(DEFAULTS)
+def _effective_config(config_path: str | None, flags: dict, *file_only: str) -> dict:
+    """A command's options; its config keys are the keys of ``flags`` and ``file_only``."""
+    cfg = {key: DEFAULTS[key] for key in (*flags, *file_only)}
     if config_path:
         try:
             with open(config_path, encoding="utf-8") as fh:
@@ -84,7 +86,7 @@ def _effective_config(config_path: str | None, flags: dict) -> dict:
         cfg.update(file_cfg)
     cfg.update({k: v for k, v in flags.items() if v is not None})
     for key, low in _MINIMUM.items():
-        if cfg[key] < low:
+        if key in cfg and cfg[key] < low:
             raise click.UsageError(f"--{key.replace('_', '-')} must be at least {low}, got {cfg[key]}")
     return cfg
 
@@ -228,7 +230,7 @@ def _experiment_config(cfg: dict, **fields) -> ds.ExperimentConfig:
 ])
 def experiment(exp_id, source, config_path, out_dir, **flags) -> None:
     """Run experiment 1, 2 or 3 on a manifest, entropy table or corpus tree."""
-    cfg = _effective_config(config_path, flags)
+    cfg = _effective_config(config_path, flags, "tol")
     config = _experiment_config(cfg, C=cfg["C"], kernel=_kernel_from_config(cfg))
     result = ds.run_experiment(exp_id, _load_matrix(source, cfg), config)
     _write(out_dir, f"experiment{exp_id}.json", result.to_json() + "\n")
@@ -255,7 +257,7 @@ def stats(table, out_dir) -> None:
 @main.command(params=list(_EXPERIMENT_PARAMS))
 def kernels(exp_id, source, config_path, out_dir, **flags) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    cfg = _effective_config(config_path, flags)
+    cfg = _effective_config(config_path, flags, "tol")
     config = _experiment_config(cfg)
     builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
     points = builder[exp_id](_load_matrix(source, cfg))
@@ -265,7 +267,8 @@ def kernels(exp_id, source, config_path, out_dir, **flags) -> None:
         "best": {"kernel": result.kernel.describe(), "C": result.C,
                  "mean_accuracy": result.mean_accuracy},
         "table": [list(row) for row in result.table],
-        "config": {"seed": config.seed, "k": config.k, "target_len": config.target_len},
+        "config": {"seed": config.seed, "k": config.k, "target_len": config.target_len,
+                   "tol": config.tol},
     }
     _write(out_dir, "kernels.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

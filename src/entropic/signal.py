@@ -19,16 +19,9 @@ DEFAULT_TARGET_LEN = 10000
 
 @dataclass(frozen=True)
 class Signal:
-    """An ordered sequence of finite real amplitudes.
-
-    Audio loaders normalize amplitudes to [-1, 1]. ``levels``, if given,
-    holds one integer per sample that orders exactly like the samples (the
-    raw frames of mono 8- and 16-bit PCM); ``canonicalize`` ranks the levels
-    instead of the floats and rejects levels that order otherwise.
-    """
+    """An ordered sequence of finite real amplitudes, in [-1, 1] from the audio loaders."""
 
     samples: np.ndarray
-    levels: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -38,12 +31,6 @@ class Signal:
             raise SignalError("signal contains NaN or Inf amplitudes")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
-        if self.levels is not None:
-            levels = np.asarray(self.levels)
-            if levels.shape != samples.shape or levels.dtype.kind not in "iu":
-                raise SignalError("levels must hold one integer per sample")
-            levels.setflags(write=False)
-            object.__setattr__(self, "levels", levels)
 
     def __len__(self) -> int:
         return self.samples.size
@@ -183,7 +170,7 @@ def load_wav(path, target_len: int | None = None) -> Signal:
     With ``target_len``, only the frames that ``subsample`` keeps are
     converted: the result equals ``subsample(load_wav(path), min(target_len,
     n))`` for a file of n frames. A float file with NaN in any frame is
-    rejected. Mono 8- and 16-bit PCM also carries its frames as ``levels``.
+    rejected.
     """
     data = _read_wav(path, target_len)
     # Multi-channel input is averaged per frame before renormalizing, so a
@@ -200,8 +187,7 @@ def load_wav(path, target_len: int | None = None) -> Signal:
         samples /= 32768.0 if data.dtype == np.int16 else 2147483648.0
     else:
         samples = np.clip(samples, -1.0, 1.0)
-    levels = data if data.ndim == 1 and data.dtype in (np.uint8, np.int16) else None
-    return Signal(samples=samples, levels=levels)
+    return Signal(samples=samples)
 
 
 def load_csv_signal(path) -> Signal:
@@ -249,33 +235,31 @@ def subsample(s: Signal, target_len: int) -> Signal:
     """
     if target_len == len(s) >= 2:
         return s  # the indices are 0..n-1
-    idx = _subsample_indices(len(s), target_len)
-    levels = None if s.levels is None else s.levels[idx]
-    return Signal(samples=s.samples[idx], levels=levels)
+    return Signal(samples=s.samples[_subsample_indices(len(s), target_len)])
 
 
 def canonicalize(s: Signal) -> CanonicalSignal:
     """Assign each sample a unique rank, ordered by (value, index).
 
-    With ``levels``, one stable argsort of them gives that order (a radix
-    sort for 8- and 16-bit integers), checked in O(n) against the samples.
-    Otherwise, the first quicksort groups equal values (in no particular
-    order within a group) and numbers the groups densely; the second sorts
-    the distinct keys dense * n + index, whose order is the (value, index)
-    order. Two SIMD quicksorts take less than half the time of one stable
-    sort of floats.
+    If every sample is a multiple of 2**-15 in [-1, 1), as mono 8- and
+    16-bit PCM is, the samples times 32768 (exact: a power of two) are int16
+    values that order like them, and one stable argsort of those, a radix
+    sort, gives the order. Otherwise, the first quicksort groups equal values
+    (in no particular order within a group) and numbers the groups densely;
+    the second sorts the distinct keys dense * n + index, whose order is the
+    (value, index) order. Two SIMD quicksorts take less than half the time of
+    one stable sort of floats.
     """
     samples = s.samples
     n = samples.size
     rank = np.empty(n, dtype=np.intp)
-    if s.levels is not None:
-        order = np.argsort(s.levels, kind="stable")
-        levels, ascending = s.levels[order], samples[order]
-        if ((ascending[1:] < ascending[:-1]).any()
-                or not np.array_equal(ascending[1:] > ascending[:-1], levels[1:] != levels[:-1])):
-            raise SignalError("levels do not order like the samples")
-        rank[order] = np.arange(n)
-        return CanonicalSignal(samples=samples, tie_rank=rank)
+    # The range comes first: 1e308 * 32768 overflows, and 1e30 has no int16 cast.
+    if samples.min() >= -1.0 and samples.max() < 1.0:
+        scaled = samples * 32768.0
+        levels = scaled.astype(np.int16)
+        if (levels == scaled).all():
+            rank[np.argsort(levels, kind="stable")] = np.arange(n)
+            return CanonicalSignal(samples=samples, tie_rank=rank)
     order = samples.argsort()
     ascending = samples[order]
     dense = np.zeros(n, dtype=np.intp)

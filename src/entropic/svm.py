@@ -351,7 +351,6 @@ class CvResult:
 
     fold_accuracies: tuple[float, ...]
     mean_accuracy: float
-    stratified: bool  # False when stratification degraded to a plain shuffle
     fits: int  # binary models trained over all folds
     iterations: int  # their SMO pair updates, summed
     kkt_gap: float  # their largest final KKT gap
@@ -426,7 +425,7 @@ def _cv_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[floa
              tol: float, k: int, seed: int) -> list[CvResult]:
     """k-fold CV of every C, on the same folds; each fold's models are fitted along Cs."""
     X, labels = _stack(data)
-    folds, stratified = stratified_folds(labels, k, seed)
+    folds, _ = stratified_folds(labels, k, seed)
     accs: list[list[float]] = [[] for _ in Cs]
     # (iterations, kkt_gap, converged) of each fit; the models themselves would
     # keep every fold's ensembles in memory.
@@ -444,7 +443,6 @@ def _cv_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[floa
         results.append(CvResult(
             fold_accuracies=tuple(a),
             mean_accuracy=float(np.mean(a)),
-            stratified=stratified,
             fits=len(fit),
             iterations=sum(iterations),
             kkt_gap=max(gaps),

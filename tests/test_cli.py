@@ -288,6 +288,15 @@ class TestKernelsCommand:
         assert doc["best"]["mean_accuracy"] > 0.5
         assert len(doc["table"]) == 8 * 4  # 8 kernels x 4 C values
 
+    def test_config_echoes_tol(self, runner, table_csv, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"tol": 0.01}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["kernels", "2", str(table_csv), "--out-dir", str(out), "--k", "3",
+                                      "--config", str(tmp_path / "cfg.json")])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "kernels.json").read_text())
+        assert doc["config"] == {"seed": 0, "k": 3, "target_len": 10000, "tol": 0.01}
+
 
 def write_wav_tree(root, seed=0):
     """Two RAVDESS-named 16-bit mono WAVs of one actor; returns their paths."""
@@ -360,9 +369,10 @@ def test_target_len_below_two_is_a_usage_error(runner, tmp_path, via, command, v
 
 
 def fail_if_input_is_read(monkeypatch):
-    def load_matrix(*args):
+    def load(*args):
         raise AssertionError("the input was read")
-    monkeypatch.setattr("entropic.cli._load_matrix", load_matrix)
+    monkeypatch.setattr("entropic.cli._load_matrix", load)
+    monkeypatch.setattr("entropic.cli._load_signal", load)
 
 
 # A negative seed, and a CV fold count below 2, are refused before any input is read.
@@ -426,6 +436,39 @@ def test_bad_C_or_tol_is_found_before_the_input_is_read(runner, table_csv, tmp_p
     assert result.output == f"error: {message}\n"
     assert isinstance(result.exception, SystemExit)
     assert not (tmp_path / "out").exists()
+
+
+# A command's --config keys are its own options, and tol for experiment and
+# kernels; the values here would all be valid for experiment.
+_OTHER_COMMANDS_KEYS = {"seed": 1, "k": 3, "jobs": 2, "C": 1.0, "tol": 0.01, "kernel": "gaussian",
+                        "sigma": 0.5, "degree": 3, "offset": 0.0}
+
+
+@pytest.mark.parametrize("command,key", [
+    *(("kernels 2", key) for key in ("C", "kernel", "sigma", "degree", "offset")),
+    *((command, key) for command in ("entropy", "barcode") for key in ("seed", "k", "jobs", "C", "tol")),
+])
+def test_config_key_of_another_command_is_a_usage_error(runner, table_csv, sig_csv, tmp_path,
+                                                        monkeypatch, command, key):
+    fail_if_input_is_read(monkeypatch)
+    source = table_csv if command.startswith("kernels") else sig_csv
+    (tmp_path / "cfg.json").write_text(json.dumps({key: _OTHER_COMMANDS_KEYS[key]}))
+    result = runner.invoke(main, command.split() + [str(source), "--config", str(tmp_path / "cfg.json")])
+    assert result.exit_code == 2, result.output
+    assert f"unknown config keys: [{key!r}]" in result.output
+
+
+def test_experiment_takes_every_config_key(runner, table_csv, tmp_path):
+    config = {**_OTHER_COMMANDS_KEYS, "target_len": 10000, "degree": 2}
+    assert config.keys() == DEFAULTS.keys()
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["experiment", "2", str(table_csv), "--out-dir", str(out),
+                                  "--config", str(tmp_path / "cfg.json")])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((out / "experiment2.json").read_text())
+    assert doc["config"]["kernel"] == "gaussian(sigma=0.5)"
+    assert (doc["config"]["C"], doc["config"]["k"], doc["config"]["tol"]) == (1.0, 3, 0.01)
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])

@@ -112,6 +112,11 @@ def sample_frames(kind, n, channels, seed=0):
 KINDS = ("u8", "i16", "i24", "i32", "f32", "f64")
 
 
+def stable_sort_oracle(vals):
+    """The (value, index) ranks, from one stable sort."""
+    return np.argsort(np.argsort(vals, kind="stable"))
+
+
 def assert_same_signal(got: Signal, want: Signal):
     assert got.samples.tobytes() == want.samples.tobytes()
 
@@ -129,11 +134,6 @@ class TestSignal:
         s = Signal(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
-
-    @pytest.mark.parametrize("levels", [np.array([1, 2, 3]), np.array([1.0, 2.0]), np.array([[1, 2]])])
-    def test_levels_are_one_integer_per_sample(self, levels):
-        with pytest.raises(SignalError, match="levels"):
-            Signal(np.array([1.0, 2.0]), levels=levels)
 
 
 class TestLoadWav:
@@ -229,19 +229,6 @@ class TestWavDecoder:
                 kept = load_wav(path, target_len)
                 want = subsample(full, min(target_len, n))
                 assert_same_signal(kept, want)
-                assert (kept.levels is None) == (want.levels is None)
-                if kept.levels is not None:
-                    assert np.array_equal(kept.levels, want.levels)
-
-    def test_levels_only_for_mono_8_and_16_bit(self, tmp_path):
-        for kind in KINDS:
-            for channels in (1, 2):
-                frames = sample_frames(kind, 20, channels)
-                s = load_wav(build_wav(tmp_path / "x.wav", frames, bits=24 if kind == "i24" else None))
-                assert (s.levels is not None) == (channels == 1 and kind in ("u8", "i16"))
-                if s.levels is not None:
-                    assert np.array_equal(s.levels, frames[:, 0])
-                    assert not s.levels.flags.writeable
 
     @pytest.mark.parametrize("target_len", [None, 2])
     @pytest.mark.parametrize("channels", [1, 2])
@@ -470,35 +457,36 @@ class TestCanonicalize:
                    for k in (1, 2, 3, 5, 8) for _ in range(6)]  # tie-heavy; k=1 is all-equal
         inputs += [np.zeros(1), np.full(1000, -3.5), np.array([0.0, -0.0, 1.0, -0.0, 0.0])]
         for vals in inputs:
-            c = canonicalize(Signal(vals))
-            oracle = np.argsort(np.argsort(vals, kind="stable"))
-            assert np.array_equal(c.tie_rank, oracle)
+            assert np.array_equal(canonicalize(Signal(vals)).tie_rank, stable_sort_oracle(vals))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
     def test_levels_rank_like_the_samples(self, tmp_path, dtype):
+        # Mono 8- and 16-bit PCM is ranked by its int16 key. Stereo frames
+        # average to multiples of 2**-16, and an odd one means the float path.
         rng = np.random.default_rng(5)
         info = np.iinfo(dtype)
-        for span in (1, 2, 3, 7, 100, None):  # tie-heavy to full range
-            low = info.min if span is None else int(rng.integers(info.min, info.max - span))
-            high = info.max + 1 if span is None else low + span
-            frames = rng.integers(low, high, (int(rng.integers(2, 3000)), 1)).astype(dtype)
-            s = load_wav(build_wav(tmp_path / "x.wav", frames))
-            assert s.levels is not None
-            float_path = canonicalize(Signal(s.samples))
-            assert np.array_equal(canonicalize(s).tie_rank, float_path.tie_rank)
-            kept = subsample(s, max(2, len(s) // 3))
-            assert np.array_equal(canonicalize(kept).tie_rank, canonicalize(Signal(kept.samples)).tie_rank)
+        for channels in (1, 2):
+            for span in (1, 2, 3, 7, 100, None):  # tie-heavy to full range
+                low = info.min if span is None else int(rng.integers(info.min, info.max - span))
+                high = info.max + 1 if span is None else low + span
+                frames = rng.integers(low, high, (int(rng.integers(2, 3000)), channels)).astype(dtype)
+                s = load_wav(build_wav(tmp_path / "x.wav", frames))
+                for kept in (s, subsample(s, max(2, len(s) // 3))):
+                    assert np.array_equal(canonicalize(kept).tie_rank, stable_sort_oracle(kept.samples))
 
-    @pytest.mark.parametrize("samples, levels", [
-        ([0.1, 0.2, 0.3], [3, 2, 1]),  # reversed
-        ([0.1, 0.2, 0.3], [1, 1, 2]),  # tie where the samples differ
-        ([0.1, 0.1, 0.3], [1, 2, 3]),  # step where the samples tie
-        ([0.2, 0.1, 0.3], [1, 1, 2]),  # tie where the samples fall
-        ([0.5, 0.1, 0.5], [2, 1, 3]),
+    @pytest.mark.parametrize("samples", [
+        [0.0, 1.0, -1.0, 0.0],  # 1.0 is 32768, one past int16
+        [0.5, 40000 / 32768, 0.0],  # an int16 cast wraps 40000 to -25536
+        [0.5, -32769 / 32768, 0.0],
+        [0.0, -0.0, 0.5, -0.0, 0.0, -1.0],  # -0.0 ties with 0.0
+        [2.0**-16, 0.0, 2.0**-15, -(2.0**-16)],  # not multiples of 2**-15
+        [1e308, 0.5, 0.0],  # scaling this would overflow
+        [-1e30, 0.5, 0.0],  # no int16 cast
+        [-1.0, 32767 / 32768, -1.0, 0.0],  # both ends of int16
     ])
-    def test_levels_that_order_otherwise_are_rejected(self, samples, levels):
-        with pytest.raises(SignalError, match="levels do not order"):
-            canonicalize(Signal(np.array(samples), levels=np.array(levels, dtype=np.int16)))
+    def test_edges_of_the_int16_key(self, samples):
+        vals = np.array(samples)
+        assert np.array_equal(canonicalize(Signal(vals)).tie_rank, stable_sort_oracle(vals))
 
     def test_ranks_are_a_bijection(self):
         rng = np.random.default_rng(3)
