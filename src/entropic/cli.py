@@ -18,6 +18,8 @@ Exit codes: 0 success, 1 partial per-file failure or an error of the run
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import sys
@@ -44,7 +46,7 @@ DEFAULTS = {
     "jobs": 1,
 }
 # The smallest valid value of an option, checked once before any input is read.
-_MINIMUM = {"target_len": 2, "seed": 0, "k": 2}
+_MINIMUM = {"target_len": 2, "seed": 0, "k": 2, "jobs": 1}
 
 
 def _config_value_ok(key: str, value) -> bool:
@@ -167,18 +169,19 @@ def main() -> None:
 def entropy(inputs, config_path, out_dir, **flags) -> None:
     """Compute persistent entropy for each input WAV/CSV signal."""
     cfg = _effective_config(config_path, flags)
-    lines = ["path,samples,subsampled_to,bars,entropy"]
+    text = io.StringIO()
+    rows = csv.writer(text, lineterminator="\n")  # quotes a path with a comma, quote or newline
+    rows.writerow(["path", "samples", "subsampled_to", "bars", "entropy"])
     failed = False
     for path in inputs:
         try:
             s = _load_signal(path)
             b = signal_barcode(s, cfg["target_len"])
-            e = persistent_entropy(b)
-            lines.append(f"{path},{len(s)},{min(cfg['target_len'], len(s))},{len(b)},{e!r}")
+            rows.writerow([path, len(s), min(cfg["target_len"], len(s)), len(b), persistent_entropy(b)])
         except EntropicError as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             failed = True
-    _write(out_dir, "entropy.csv", "\n".join(lines) + "\n")
+    _write(out_dir, "entropy.csv", text.getvalue())
     if failed:
         sys.exit(1)
 

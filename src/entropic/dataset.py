@@ -7,7 +7,6 @@ per-audio actor vectors (2) and per-actor emotion vectors (3).
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import itertools
 import json
@@ -218,6 +217,8 @@ def build_entropy_table(
         cpus = os.cpu_count() or 1
     workers = min(jobs, len(records), cpus)
     if workers > 1:
+        import concurrent.futures  # loaded only by a run that starts a pool
+
         # A few chunks per worker, not one task per file: each task is a
         # round trip through the pool's queues.
         chunksize = -(-len(records) // (4 * workers))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -357,18 +358,102 @@ class CvResult:
     unconverged: int  # fits that stopped with a KKT gap above tol
 
 
+# numpy's default_rng(seed) shuffle, ported: numpy.random costs a process
+# about 6 MB resident and 10 ms to import, for a few hundred draws. The
+# constants are SeedSequence's (numpy/random/bit_generator.pyx) and PCG64's.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, with its running constant."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_state(seed) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for an integer seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = _hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32  # MIX_MULT_L, MIX_MULT_R
+        return x ^ x >> 16
+
+    pool = [hash_a(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hash_a(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hash_a(word))
+    hash_b = _hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    words = [hash_b(pool[i % 4]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """The PCG64 (XSL-RR 128/64) that numpy's default_rng(seed) seeds through
+    SeedSequence: the same draws, and the same shuffles, index for index."""
+
+    def __init__(self, seed) -> None:
+        w0, w1, w2, w3 = _seed_state(seed)
+        self.inc = ((w2 << 64 | w3) << 1 | 1) & _M128
+        self.state = 0
+        self._step()
+        self.state = (self.state + (w0 << 64 | w1)) & _M128
+        self._step()
+        self.half: int | None = None  # the unused high half of the last 64-bit draw
+
+    def _step(self) -> None:
+        self.state = (self.state * _PCG_MULT + self.inc) & _M128
+
+    def next64(self) -> int:
+        self._step()
+        x = (self.state >> 64 ^ self.state) & _M64
+        r = self.state >> 122
+        return (x >> r | x << (64 - r)) & _M64
+
+    def next32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        x = self.next64()
+        self.half = x >> 32
+        return x & _M32
+
+    def shuffled(self, items: Sequence[int]) -> np.ndarray:
+        """The items as Generator.shuffle leaves a 1-d array of them, as intp:
+        from the end, item i swaps with a j in [0, i], drawn by masking to i's
+        bit length and drawing again while j > i."""
+        items = list(items)
+        for i in range(len(items) - 1, 0, -1):
+            draw = self.next32 if i <= _M32 else self.next64
+            mask = (1 << i.bit_length()) - 1
+            j = draw() & mask
+            while j > i:
+                j = draw() & mask
+            items[i], items[j] = items[j], items[i]
+        return np.array(items, dtype=np.intp)
+
+
 def _shuffled_by_class(labels: Sequence, seed: int) -> dict:
     """Each class's indices in a seeded random order, keyed by class in order
     of first appearance. One generator shuffles the classes in sorted order,
     so the draws do not depend on the order in which the classes appear."""
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     by_class: dict = {}
     for idx, lab in enumerate(labels):
         by_class.setdefault(lab, []).append(idx)
     for lab in _sorted_classes(labels):
-        idxs = np.array(by_class[lab], dtype=np.intp)
-        rng.shuffle(idxs)
-        by_class[lab] = idxs
+        by_class[lab] = rng.shuffled(by_class[lab])
     return by_class
 
 
@@ -388,7 +473,7 @@ def stratified_folds(labels: Sequence, k: int, seed: int) -> tuple[list[np.ndarr
     if stratified:
         order = np.concatenate([by_class[lab] for lab in _sorted_classes(labels)])
     else:
-        order = np.random.default_rng(seed).permutation(n)
+        order = _Pcg64(seed).shuffled(range(n))
     return [np.sort(order[fold::k]) for fold in range(k)], stratified
 
 
@@ -406,7 +491,9 @@ def stratified_split(labels: Sequence, n_train: int, seed: int) -> tuple[np.ndar
     for lab in by_remainder[: n_train - sum(quotas.values())]:
         quotas[lab] += 1
     train = np.sort(np.concatenate([idxs[: quotas[lab]] for lab, idxs in by_class.items()]))
-    return train, np.setdiff1d(np.arange(len(labels)), train)
+    test = np.ones(len(labels), dtype=bool)
+    test[train] = False
+    return train, np.flatnonzero(test)
 
 
 def kfold_cross_validate(
@@ -457,9 +544,13 @@ def median_pairwise_distance(X: np.ndarray) -> float:
     n = X.shape[0]
     if n < 2:
         return 1.0
-    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    d = np.sqrt(sq[np.triu_indices(n, k=1)])
-    med = float(np.median(d))
+    # Row by row: the same per-pair sums over the feature axis as an (n, n, d)
+    # array of differences, without holding one.
+    d = np.sqrt(np.concatenate([((X[i] - X[i + 1:]) ** 2).sum(axis=1) for i in range(n - 1)]))
+    d.sort()
+    # numpy's median: the middle value, or the mean of the two middle values.
+    mid = len(d) // 2
+    med = float(d[mid] if len(d) % 2 else (d[mid - 1] + d[mid]) / 2)
     return med if med > 0 else 1.0
 
 

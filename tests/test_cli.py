@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ from click.testing import CliRunner
 import entropic
 from conftest import make_matrix
 from entropic.cli import DEFAULTS, _config_value_ok, main
-from entropic.dataset import ExperimentConfig, entropy_table_csv
+from entropic.dataset import EMOTIONS, ExperimentConfig, audio_columns, entropy_table_csv
 from entropic.svm import KernelSpec
 
 
@@ -98,6 +100,22 @@ class TestEntropyCommand:
 
         assert subsampled_to({"ENTROPIC_TARGET_LEN": "3"}) == "5"  # no command: ignored
         assert subsampled_to({"ENTROPIC_ENTROPY_TARGET_LEN": "3"}) == "3"
+
+    def test_path_with_comma_or_quote_is_quoted(self, runner, sig_csv, tmp_path):
+        odd = []
+        for name in ("a,b.csv", 'q"uote.csv'):
+            odd.append(tmp_path / "commadir" / name)
+            odd[-1].parent.mkdir(exist_ok=True)
+            odd[-1].write_bytes(sig_csv.read_bytes())
+        result = runner.invoke(main, ["entropy", str(sig_csv), *map(str, odd)])
+        assert result.exit_code == 0, result.output
+        lines = result.output.split("\n")
+        plain = lines[1].split(",")[1:]
+        assert lines[2] == ",".join([f'"{odd[0]}"', *plain])
+        assert lines[3] == ",".join(['"' + str(odd[1]).replace('"', '""') + '"', *plain])
+        rows = list(csv.reader(io.StringIO(result.output)))
+        assert [row[0] for row in rows[1:]] == [str(sig_csv), *map(str, odd)]
+        assert all(row[1:] == plain for row in rows[1:])
 
     def test_out_dir(self, runner, sig_csv, tmp_path):
         out = tmp_path / "out"
@@ -343,6 +361,51 @@ main(["entropy", {str(wavs[0])!r}])
     assert lines[2].startswith(f"{wavs[0]},500,500,")
 
 
+def write_full_wav_tree(root):
+    """One actor's 60 RAVDESS-named recordings, 200 random 16-bit samples each."""
+    rng = np.random.default_rng(1)
+    (root / "Actor_01").mkdir(parents=True)
+    for col in audio_columns():
+        code = EMOTIONS.index(col.emotion) + 1
+        intensity = 1 if col.intensity == "normal" else 2
+        name = f"03-01-{code:02d}-{intensity:02d}-{col.statement:02d}-{col.repetition:02d}-01.wav"
+        with wave.open(str(root / "Actor_01" / name), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(rng.integers(-3000, 3000, 200).astype("<i2").tobytes())
+
+
+# Modules that none of these commands needs, and their cost to a process:
+# numpy.random about 6 MB resident, numpy.ma 1.25 MB, concurrent.futures
+# 0.6 MB. pytest has loaded some of them already, so each command runs in a
+# fresh interpreter.
+UNNEEDED_MODULES = ("numpy.random", "numpy.ma", "concurrent.futures")
+
+
+@pytest.mark.parametrize("args", [
+    ["experiment", "1", "TABLE"], ["experiment", "2", "TABLE"], ["experiment", "3", "TABLE"],
+    ["kernels", "2", "TABLE"], ["kernels", "3", "TABLE"], ["experiment", "2", "CORPUS", "--jobs", "1"],
+], ids=lambda args: "-".join(args[:3]).lower())
+def test_commands_do_not_load_unneeded_modules(table_csv, tmp_path, args):
+    if "CORPUS" in args:
+        write_full_wav_tree(tmp_path / "corpus")
+    sources = {"TABLE": str(table_csv), "CORPUS": str(tmp_path / "corpus")}
+    args = [sources.get(a, a) for a in args] + ["--out-dir", str(tmp_path / "out")]
+    code = f"""
+import sys
+from entropic.cli import main
+try:
+    main({args!r})
+finally:
+    print("loaded:", *[m for m in {UNNEEDED_MODULES!r} if m in sys.modules], file=sys.stderr)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "loaded:"
+
+
 def _invoke_with(runner, args, key, value, via, tmp_path):
     """Run a command with one option given as a flag, a --config key or an
     ENTROPIC_<COMMAND>_<OPTION> environment variable."""
@@ -375,13 +438,16 @@ def fail_if_input_is_read(monkeypatch):
     monkeypatch.setattr("entropic.cli._load_signal", load)
 
 
-# A negative seed, and a CV fold count below 2, are refused before any input is read.
+# A negative seed, a CV fold count below 2 and fewer than one job are refused before
+# any input is read.
 @pytest.mark.parametrize("via", ["flag", "config", "env"])
 @pytest.mark.parametrize("command", [
     (["experiment", "2"], "seed", -1, 0),
     (["kernels", "2"], "seed", -1, 0),
     (["experiment", "1"], "k", 1, 2),
     (["kernels", "1"], "k", 1, 2),
+    (["experiment", "1"], "jobs", 0, 1),
+    (["kernels", "3"], "jobs", -5, 1),
 ])
 def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch, via, command):
     args, key, value, low = command

@@ -241,7 +241,7 @@ class TestBuildEntropyTable:
         records = write_corpus(tmp_path, actors=[1])[:files]
         serial = build_entropy_table(records)
         fake_cpus(monkeypatch, affinity, cores)
-        monkeypatch.setattr(dataset.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         result = build_entropy_table(records, jobs=jobs)
         if workers is None:
             assert pools == []  # one worker: no pool at all

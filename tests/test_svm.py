@@ -697,6 +697,96 @@ class TestStratifierMatchesReference:
                 assert_same_indices(g, w)
 
 
+# Seeds around the 32-bit word boundaries of SeedSequence's entropy, and one
+# of more than four words (its pool size).
+PORT_SEEDS = [*range(200), 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
+
+
+class TestShuffleMatchesNumpy:
+    """svm._Pcg64 against the np.random.default_rng(seed) it stands in for."""
+
+    LENGTHS = (0, 1, 2, 3, 4, 5, 17, 60, 255, 256, 257, 1000, 2000)
+
+    def test_raw_draws(self):
+        for seed in PORT_SEEDS:
+            port = svm._Pcg64(seed)
+            want = np.random.default_rng(seed).bit_generator.random_raw(6).tolist()
+            assert [port.next64() for _ in range(6)] == want
+
+    def test_permutation(self):
+        for seed in PORT_SEEDS:
+            n = self.LENGTHS[seed % len(self.LENGTHS)]
+            assert_same_indices(svm._Pcg64(seed).shuffled(range(n)),
+                                np.random.default_rng(seed).permutation(n))
+
+    def test_shuffles_in_sequence_on_one_generator(self):
+        # _shuffled_by_class shuffles every class with one generator, so a
+        # 32-bit half left over by one shuffle is the first draw of the next.
+        for seed in PORT_SEEDS:
+            port, rng = svm._Pcg64(seed), np.random.default_rng(seed)
+            turn = seed % len(self.LENGTHS)
+            for n in self.LENGTHS[turn:] + self.LENGTHS[:turn]:
+                want = np.arange(n, dtype=np.intp) * 3
+                rng.shuffle(want)
+                assert_same_indices(port.shuffled(range(0, 3 * n, 3)), want)
+
+    @pytest.mark.parametrize("seed", [True, np.int64(7), np.uint32(2**32 - 1)])
+    def test_integer_like_seeds(self, seed):
+        assert_same_indices(svm._Pcg64(seed).shuffled(range(50)),
+                            np.random.default_rng(seed).permutation(50))
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (-(2**40), ValueError),
+                                            (1.5, TypeError), ("3", TypeError)])
+    def test_seeds_numpy_refuses(self, seed, error):
+        with pytest.raises(error) as want:
+            np.random.default_rng(seed)
+        with pytest.raises(error) as got:
+            svm._Pcg64(seed)
+        if error is ValueError:
+            assert str(got.value) == str(want.value) == "expected non-negative integer"
+
+
+def reference_median_pairwise_distance(X) -> float:
+    """median_pairwise_distance as it was, over an (n, n, d) array of
+    differences and np.median, kept as the reference it must match bit for bit."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n = X.shape[0]
+    if n < 2:
+        return 1.0
+    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    d = np.sqrt(sq[np.triu_indices(n, k=1)])
+    med = float(np.median(d))
+    return med if med > 0 else 1.0
+
+
+class TestMedianPairwiseDistance:
+    # n(n-1)/2 pairs: odd at n = 2, 3, 6, 7, 10 and 11, even at n = 4, 5, 8, 9 and 60.
+    @pytest.mark.parametrize("d", [1, 8, 24, 200])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 60])
+    def test_bit_identical_to_reference(self, d, n):
+        rng = np.random.default_rng([d, n])
+        for scale in (1e-3, 1.0, 1e4):
+            X = rng.normal(size=(n, d)) * scale
+            cases = [X]
+            if n >= 4:
+                dup = X.copy()
+                dup[1::2] = dup[0]  # many zero distances, and repeated nonzero ones
+                cases.append(dup)
+            for case in cases:
+                got = svm.median_pairwise_distance(case)
+                assert got.hex() == reference_median_pairwise_distance(case).hex()
+
+    def test_one_dimensional_input_and_all_rows_equal(self):
+        for X in ([3.0, 1.0], [[2.0, 2.0]] * 5, np.zeros((0, 3))):
+            got = svm.median_pairwise_distance(X)
+            assert got.hex() == reference_median_pairwise_distance(X).hex()
+        assert svm.median_pairwise_distance([[2.0, 2.0]] * 5) == 1.0
+
+    def test_even_count_is_the_mean_of_the_middle_two(self):
+        # Distances 1, 2, 3, 4, 6, 7 between the points 0, 1, 3, 7 on a line.
+        assert svm.median_pairwise_distance([[0.0], [1.0], [3.0], [7.0]]) == 3.5
+
+
 # MulticlassModel.predict and the two-class branch of _cv_path as they were
 # before the vote moved into class x point arrays and two-class CV went
 # through one-vs-one, kept as the references they must match.
