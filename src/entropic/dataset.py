@@ -179,6 +179,28 @@ def _entropy_of_file(path: str, target_len: int) -> tuple[bool, float | str]:
         return False, str(exc)
 
 
+def _keep_freed_heap() -> None:
+    """Pool worker start: let glibc keep freed heap instead of trimming it.
+
+    A worker keeps nothing alive between files, so by default glibc gives
+    the top of its heap back to the kernel after each one and the next file
+    faults it all in again. These are the largest values glibc's own dynamic
+    adjustment reaches on 64-bit (trim is twice the mmap threshold). Where
+    libc cannot be loaded or has no mallopt, the worker runs as it would
+    have: an initializer that raises would break the pool.
+    """
+    import ctypes  # only pool workers load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 @dataclass(frozen=True)
 class EntropyTableResult:
     matrix: EntropyMatrix
@@ -223,7 +245,9 @@ def build_entropy_table(
         # round trip through the pool's queues.
         chunksize = -(-len(records) // (4 * workers))
         try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_keep_freed_heap
+            ) as pool:
                 outcomes = list(pool.map(_entropy_of_file, paths, lengths, chunksize=chunksize))
         except concurrent.futures.BrokenExecutor as exc:
             raise DatasetError(f"a worker process died: {exc}")
