@@ -12,7 +12,7 @@ import itertools
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -159,7 +159,7 @@ def scan_ravdess_tree(root) -> list[RecordingMeta]:
     records = []
     seen: dict[tuple, str] = {}
     for wav in sorted(root.rglob("*.wav")):
-        rec = replace(parse_ravdess_filename(wav.name), path=str(wav))
+        rec = parse_ravdess_filename(str(wav))
         coord = rec.coordinate()
         if coord in seen:
             raise DatasetError(f"duplicate recording coordinates {coord}: {seen[coord]} and {wav}")

@@ -28,6 +28,7 @@ from .signal import DEFAULT_TARGET_LEN, CanonicalSignal, Signal, canonicalize, s
 INFINITE = math.inf
 
 _ORACLE_MAX_LEN = 4096
+_ABOVE = np.iinfo(np.int64).max  # a sentinel above every order key
 
 
 @dataclass(frozen=True)
@@ -81,38 +82,36 @@ def _sparse_table(values: np.ndarray, reduce: np.ufunc) -> np.ndarray:
 def lower_star_barcode(c: CanonicalSignal) -> Barcode:
     """Compute the 0-dimensional barcode of the sublevel filtration.
 
-    Works on canonical ranks, so ties in raw value are unambiguous. Local
+    Works on canonical order keys, so ties in raw value are unambiguous. Local
     minima and interior local maxima alternate along the signal: minima
     mu_0..mu_m and saddles s_0..s_{m-1}, with s_k between mu_k and mu_{k+1}.
     When s_k enters, the component on each side reaches out to the nearest
-    saddle of higher rank; binary lifting on a sparse max-table of saddle
-    ranks finds both for all saddles at once. Each component's birth is the
-    lowest-rank minimum in its range, one sparse min-table query. The younger
-    birth dies at the saddle (elder rule); a merge between equal raw values
-    would yield a zero-length bar and is dropped. Bars come in ascending
-    saddle rank with the essential bar last, the order of a sweep over the
-    vertices. With m <= n/2 saddles the work is O(n + m log m): each table
-    takes about log2(m) array passes to build and the lifting as many again.
-    The only loops run once per table level.
+    saddle of higher key; binary lifting on a sparse max-table of saddle
+    keys finds both for all saddles at once. Each component's birth is the
+    lowest-key minimum in its range (at index key % n), one sparse min-table
+    query. The younger birth dies at the saddle (elder rule); a merge between
+    equal raw values would yield a zero-length bar and is dropped. Bars come
+    in ascending saddle key with the essential bar last, the order of a sweep
+    over the vertices. With m <= n/2 saddles the work is O(n + m log m): each
+    table takes about log2(m) array passes to build and the lifting as many
+    again. The only loops run once per table level.
     """
     n = len(c)
     if n == 0:
         raise BarcodeError("empty signal")
-    rank = c.tie_rank
-    by_rank = np.empty(n)
-    by_rank[rank] = c.samples
-    padded = np.concatenate(([n], rank, [n]))  # ends border on higher ground
-    left_higher = padded[:-2] > rank
-    right_higher = padded[2:] > rank
+    key = c.key
+    padded = np.concatenate(([_ABOVE], key, [_ABOVE]))  # ends border on higher ground
+    left_higher = padded[:-2] > key
+    right_higher = padded[2:] > key
     saddles = np.flatnonzero(~(left_higher | right_higher))
-    top = rank[saddles]
+    top = key[saddles]
     m = top.size
     # Saddle k sits at index k + 1 of the barrier array, between two
-    # sentinels that no rank reaches. lo/hi grow over the saddles lower
+    # sentinels that no key reaches. lo/hi grow over the saddles lower
     # than it: a window is taken when its maximum is below top[k]. A
     # window index clipped to either end of its row names a window that
     # holds a sentinel, so it is refused.
-    tops = _sparse_table(np.concatenate(([n], top, [n])), np.maximum)
+    tops = _sparse_table(np.concatenate(([_ABOVE], top, [_ABOVE])), np.maximum)
     lo = np.arange(1, m + 1)
     hi = lo.copy()
     for level in range(tops.shape[0] - 1, -1, -1):
@@ -121,7 +120,7 @@ def lower_star_barcode(c: CanonicalSignal) -> Barcode:
         lo -= (row.take(lo - width, mode="clip") < top) * width
         hi += (row.take(hi + 1, mode="clip") < top) * width
     # The left component holds minima lo-1..k, the right one k+1..hi.
-    bottoms = _sparse_table(rank[left_higher & right_higher], np.minimum).ravel()
+    bottoms = _sparse_table(key[left_higher & right_higher], np.minimum).ravel()
 
     def lowest(first: np.ndarray, last: np.ndarray) -> np.ndarray:
         level = np.frexp(last - first + 1)[1].astype(np.intp) - 1  # floor(log2(length)), exact
@@ -131,11 +130,12 @@ def lower_star_barcode(c: CanonicalSignal) -> Barcode:
     k = np.arange(m)
     younger = np.maximum(lowest(lo - 1, k), lowest(k + 1, hi))
     by_saddle = np.argsort(top)
-    births = by_rank[younger[by_saddle]]
+    births = c.samples[younger[by_saddle] % n]
     deaths = c.samples[saddles[by_saddle]]
     keep = deaths > births  # equal raw values give a zero-length bar: drop
     births, deaths = births[keep], deaths[keep]
-    return Barcode(births=np.append(births, by_rank[0]), deaths=np.append(deaths, INFINITE),
+    essential = c.samples[key.argmin()]  # not samples.min(): that may give the other signed zero
+    return Barcode(births=np.append(births, essential), deaths=np.append(deaths, INFINITE),
                    f_max=float(c.samples.max()))
 
 
@@ -153,8 +153,8 @@ def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
     if n > _ORACLE_MAX_LEN:
         raise BarcodeError(f"oracle input too long ({n} > {_ORACLE_MAX_LEN})")
     samples = c.samples
-    rank = c.tie_rank
-    order = np.argsort(rank)
+    key = c.key
+    order = np.argsort(key)
 
     present = np.zeros(n, dtype=bool)
     births: list[float] = []
@@ -173,9 +173,9 @@ def barcode_bruteforce_oracle(c: CanonicalSignal) -> Barcode:
                 hi += 1
             left_run = np.arange(lo, v)
             right_run = np.arange(v + 1, hi + 1)
-            left_birth = int(left_run[np.argmin(rank[left_run])])
-            right_birth = int(right_run[np.argmin(rank[right_run])])
-            younger = left_birth if rank[left_birth] > rank[right_birth] else right_birth
+            left_birth = int(left_run[np.argmin(key[left_run])])
+            right_birth = int(right_run[np.argmin(key[right_run])])
+            younger = left_birth if key[left_birth] > key[right_birth] else right_birth
             birth = float(samples[younger])
             death = float(samples[v])
             if death > birth:

@@ -457,11 +457,11 @@ def _shuffled_by_class(labels: Sequence, seed: int) -> dict:
     return by_class
 
 
-def stratified_folds(labels: Sequence, k: int, seed: int) -> tuple[list[np.ndarray], bool]:
+def stratified_folds(labels: Sequence, k: int, seed: int) -> list[np.ndarray]:
     """Split indices into k folds preserving class proportions within +-1.
 
-    Classes with fewer than 2 points cannot be stratified usefully; in that
-    case a plain shuffled split is returned with stratified=False.
+    Classes with fewer than 2 points cannot be stratified usefully; if there
+    is one, a plain shuffled split is returned instead.
     """
     n = len(labels)
     if k < 2:
@@ -469,12 +469,11 @@ def stratified_folds(labels: Sequence, k: int, seed: int) -> tuple[list[np.ndarr
     if k > n:
         raise TrainingError(f"k={k} exceeds dataset size {n}")
     by_class = _shuffled_by_class(labels, seed)
-    stratified = all(len(v) >= 2 for v in by_class.values())
-    if stratified:
+    if all(len(v) >= 2 for v in by_class.values()):
         order = np.concatenate([by_class[lab] for lab in _sorted_classes(labels)])
     else:
         order = _Pcg64(seed).shuffled(range(n))
-    return [np.sort(order[fold::k]) for fold in range(k)], stratified
+    return [np.sort(order[fold::k]) for fold in range(k)]
 
 
 def stratified_split(labels: Sequence, n_train: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,7 +511,7 @@ def _cv_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[floa
              tol: float, k: int, seed: int) -> list[CvResult]:
     """k-fold CV of every C, on the same folds; each fold's models are fitted along Cs."""
     X, labels = _stack(data)
-    folds, _ = stratified_folds(labels, k, seed)
+    folds = stratified_folds(labels, k, seed)
     accs: list[list[float]] = [[] for _ in Cs]
     # (iterations, kkt_gap, converged) of each fit; the models themselves would
     # keep every fold's ensembles in memory.

@@ -20,12 +20,12 @@ def barcode_of(values):
     return lower_star_barcode(canonicalize(Signal(np.asarray(values, dtype=float))))
 
 
-def count_local_minima(rank):
-    n = len(rank)
+def count_local_minima(key):
+    n = len(key)
     return sum(
         1
         for i in range(n)
-        if (i == 0 or rank[i] < rank[i - 1]) and (i == n - 1 or rank[i] < rank[i + 1])
+        if (i == 0 or key[i] < key[i - 1]) and (i == n - 1 or key[i] < key[i + 1])
     )
 
 
@@ -72,7 +72,7 @@ class TestLowerStarBarcode:
     def test_empty_rejected(self):
         from entropic.signal import CanonicalSignal
 
-        empty = CanonicalSignal(samples=np.array([]), tie_rank=np.array([], dtype=np.intp))
+        empty = CanonicalSignal(samples=np.array([]), key=np.array([], dtype=np.int64))
         with pytest.raises(BarcodeError):
             lower_star_barcode(empty)
 
@@ -87,7 +87,7 @@ class TestLowerStarBarcode:
                 vals = rng.integers(0, 8, size=int(rng.integers(2, 60))).astype(float)
             c = canonicalize(Signal(vals))
             b = lower_star_barcode(c)
-            minima = count_local_minima(c.tie_rank)
+            minima = count_local_minima(c.key)
             if len(np.unique(vals)) == len(vals):
                 assert len(b) == minima
             else:
@@ -99,17 +99,17 @@ class TestLowerStarBarcode:
         rng = np.random.default_rng(6)
         vals = rng.normal(size=100)
         c = canonicalize(Signal(vals))
-        rank = c.tie_rank
+        key = c.key
         n = len(vals)
         minima = {
             vals[i]
             for i in range(n)
-            if (i == 0 or rank[i] < rank[i - 1]) and (i == n - 1 or rank[i] < rank[i + 1])
+            if (i == 0 or key[i] < key[i - 1]) and (i == n - 1 or key[i] < key[i + 1])
         }
         maxima = {
             vals[i]
             for i in range(n)
-            if (i == 0 or rank[i] > rank[i - 1]) and (i == n - 1 or rank[i] > rank[i + 1])
+            if (i == 0 or key[i] > key[i - 1]) and (i == n - 1 or key[i] > key[i + 1])
         }
         b = lower_star_barcode(c)
         for birth, death in zip(b.births, b.deaths):
@@ -119,7 +119,7 @@ class TestLowerStarBarcode:
 
 
 def reference_lower_star_barcode(c):
-    """The union-of-runs sweep that lower_star_barcode replaced, kept verbatim.
+    """The union-of-runs sweep that lower_star_barcode replaced, on order keys.
 
     Sweeps vertices in canonical order; each new vertex either starts a run,
     extends an adjacent run, or merges the two runs beside it. A run is kept
@@ -128,9 +128,8 @@ def reference_lower_star_barcode(c):
     """
     n = len(c)
     samples = c.samples.tolist()
-    rank = c.tie_rank.tolist()
-    order = np.empty(n, dtype=np.intp)
-    order[c.tie_rank] = np.arange(n)
+    key = c.key.tolist()
+    order = np.argsort(c.key)
 
     other_end = [-1] * n
     birth_at = [0] * n
@@ -143,7 +142,7 @@ def reference_lower_star_barcode(c):
         if has_left and has_right:
             lo, hi = other_end[v - 1], other_end[v + 1]
             bl, br = birth_at[v - 1], birth_at[v + 1]
-            elder, younger = (bl, br) if rank[bl] < rank[br] else (br, bl)
+            elder, younger = (bl, br) if key[bl] < key[br] else (br, bl)
             if samples[v] > samples[younger]:
                 births.append(samples[younger])
                 deaths.append(samples[v])

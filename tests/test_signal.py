@@ -113,8 +113,15 @@ KINDS = ("u8", "i16", "i24", "i32", "f32", "f64")
 
 
 def stable_sort_oracle(vals):
-    """The (value, index) ranks, from one stable sort."""
-    return np.argsort(np.argsort(vals, kind="stable"))
+    """The (value, index) order, from one stable sort."""
+    return np.argsort(vals, kind="stable")
+
+
+def key_order(c):
+    """The order of c's samples by key; the keys must be distinct int64 values."""
+    assert c.key.dtype == np.int64
+    assert np.unique(c.key).size == c.key.size
+    return np.argsort(c.key, kind="stable")
 
 
 def assert_same_signal(got: Signal, want: Signal):
@@ -440,15 +447,15 @@ class TestSubsample:
 class TestCanonicalize:
     def test_ties_broken_by_index(self):
         c = canonicalize(Signal(np.array([1.0, 1.0, 2.0])))
-        assert list(c.tie_rank) == [0, 1, 2]
+        assert list(key_order(c)) == [0, 1, 2]
 
     def test_value_order(self):
         c = canonicalize(Signal(np.array([3.0, 1.0, 2.0])))
-        assert list(c.tie_rank) == [2, 0, 1]
+        assert list(key_order(c)) == [1, 2, 0]
 
     def test_increasing_gives_identity(self):
         c = canonicalize(Signal(np.array([1.0, 2.0, 5.0, 9.0])))
-        assert list(c.tie_rank) == [0, 1, 2, 3]
+        assert list(key_order(c)) == [0, 1, 2, 3]
 
     def test_matches_stable_sort_oracle(self):
         rng = np.random.default_rng(2)
@@ -457,11 +464,11 @@ class TestCanonicalize:
                    for k in (1, 2, 3, 5, 8) for _ in range(6)]  # tie-heavy; k=1 is all-equal
         inputs += [np.zeros(1), np.full(1000, -3.5), np.array([0.0, -0.0, 1.0, -0.0, 0.0])]
         for vals in inputs:
-            assert np.array_equal(canonicalize(Signal(vals)).tie_rank, stable_sort_oracle(vals))
+            assert np.array_equal(key_order(canonicalize(Signal(vals))), stable_sort_oracle(vals))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.int16])
     def test_levels_rank_like_the_samples(self, tmp_path, dtype):
-        # Mono 8- and 16-bit PCM is ranked by its int16 key. Stereo frames
+        # Mono 8- and 16-bit PCM is keyed by its int16 level. Stereo frames
         # average to multiples of 2**-16, and an odd one means the float path.
         rng = np.random.default_rng(5)
         info = np.iinfo(dtype)
@@ -472,7 +479,7 @@ class TestCanonicalize:
                 frames = rng.integers(low, high, (int(rng.integers(2, 3000)), channels)).astype(dtype)
                 s = load_wav(build_wav(tmp_path / "x.wav", frames))
                 for kept in (s, subsample(s, max(2, len(s) // 3))):
-                    assert np.array_equal(canonicalize(kept).tie_rank, stable_sort_oracle(kept.samples))
+                    assert np.array_equal(key_order(canonicalize(kept)), stable_sort_oracle(kept.samples))
 
     @pytest.mark.parametrize("samples", [
         [0.0, 1.0, -1.0, 0.0],  # 1.0 is 32768, one past int16
@@ -486,13 +493,17 @@ class TestCanonicalize:
     ])
     def test_edges_of_the_int16_key(self, samples):
         vals = np.array(samples)
-        assert np.array_equal(canonicalize(Signal(vals)).tie_rank, stable_sort_oracle(vals))
+        assert np.array_equal(key_order(canonicalize(Signal(vals))), stable_sort_oracle(vals))
 
-    def test_ranks_are_a_bijection(self):
+    def test_keys_are_distinct_int64(self):
+        # Tied floats, and tied int16 levels long enough that class * n
+        # passes 2**31: the barcode reads sample i at key % n.
         rng = np.random.default_rng(3)
-        vals = rng.integers(0, 5, size=40).astype(float)
-        c = canonicalize(Signal(vals))
-        assert sorted(c.tie_rank) == list(range(40))
+        for vals in (rng.integers(0, 5, size=40).astype(float),
+                     rng.integers(-32768, 32768, size=70000) / 32768.0):
+            c = canonicalize(Signal(vals))
+            assert np.array_equal(key_order(c), stable_sort_oracle(vals))
+            assert np.array_equal(c.key % vals.size, np.arange(vals.size))
 
     def test_jitter_agrees_with_symbolic_order(self):
         rng = np.random.default_rng(4)
@@ -504,5 +515,5 @@ class TestCanonicalize:
         n = vals.size
         eps = 1e-9 * float(vals.max() - vals.min())
         jittered = canonicalize(Signal(vals + eps * (np.arange(n) + 1.0) / n))
-        assert np.array_equal(symbolic.tie_rank, jittered.tie_rank)
+        assert np.array_equal(key_order(symbolic), key_order(jittered))
         assert not np.array_equal(jittered.samples, s.samples)

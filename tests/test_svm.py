@@ -456,7 +456,7 @@ class TestKfold:
         X, labels = make_blobs(seed=7)
         result = kfold_cross_validate(points_from(X, labels), KernelSpec("linear"), C=10.0, k=4, seed=0)
         assert result.mean_accuracy == 1.0
-        assert stratified_folds(labels, 4, 0)[1]  # the folds it scored are stratified
+        assert_reference_folds(labels, 4, 0, stratified=True)  # the folds it scored
 
     def test_leave_one_out_fold_count(self):
         X, labels = make_blobs(seed=8, n_per_class=6)
@@ -477,11 +477,9 @@ class TestKfold:
         data.append(LabeledPoint(np.array([-9.0, -9.0]), "C"))
         data.append(LabeledPoint(np.array([-9.0, -8.0]), "C"))
         labels3 = [p.label for p in data]
-        folds, stratified = stratified_folds(labels3, k=3, seed=0)
-        assert stratified  # two C points is still enough
+        assert_reference_folds(labels3, 3, 0, stratified=True)  # two C points is still enough
         data.append(LabeledPoint(np.array([-9.0, -7.0]), "D"))
-        folds, stratified = stratified_folds([p.label for p in data], k=3, seed=0)
-        assert not stratified  # singleton class D
+        assert_reference_folds([p.label for p in data], 3, 0, stratified=False)  # singleton class D
 
     def test_k_larger_than_dataset_rejected(self):
         with pytest.raises(TrainingError):
@@ -649,6 +647,21 @@ def assert_same_indices(got, want):
     assert np.array_equal(got, want)
 
 
+def assert_reference_folds(labels, k, seed, stratified):
+    """stratified_folds gives the reference's folds, which take the stratified
+    path or the plain-shuffle fallback as named. Stratified folds hold each
+    class's points within +-1 of each other."""
+    got = stratified_folds(labels, k, seed)
+    want, want_stratified = reference_stratified_folds(labels, k, seed)
+    assert want_stratified == stratified
+    for g, w in zip(got, want, strict=True):
+        assert_same_indices(g, w)
+    if stratified:
+        for lab in set(labels):
+            counts = [sum(labels[i] == lab for i in fold) for fold in got]
+            assert max(counts) - min(counts) <= 1
+
+
 def random_label_sets(count, seed):
     """String label lists of 2 to 80 points over 1 to 9 classes of uneven size,
     singletons included, classes first appearing in random order."""
@@ -675,9 +688,8 @@ class TestStratifierMatchesReference:
     def test_folds_on_experiment2_labels(self):
         for seed in range(400):
             for k in (2, 3, 5):
-                got, got_strat = stratified_folds(self.EXPERIMENT2_LABELS, k, seed)
-                want, want_strat = reference_stratified_folds(self.EXPERIMENT2_LABELS, k, seed)
-                assert got_strat == want_strat
+                got = stratified_folds(self.EXPERIMENT2_LABELS, k, seed)
+                want, _ = reference_stratified_folds(self.EXPERIMENT2_LABELS, k, seed)
                 for g, w in zip(got, want, strict=True):
                     assert_same_indices(g, w)
 
@@ -690,9 +702,8 @@ class TestStratifierMatchesReference:
             assert_same_indices(got[0], want[0])
             assert_same_indices(got[1], want[1])
             k = int(rng.integers(2, min(len(labels), 10) + 1))
-            got_folds, got_strat = stratified_folds(labels, k, seed)
-            want_folds, want_strat = reference_stratified_folds(labels, k, seed)
-            assert got_strat == want_strat
+            got_folds = stratified_folds(labels, k, seed)
+            want_folds, _ = reference_stratified_folds(labels, k, seed)
             for g, w in zip(got_folds, want_folds, strict=True):
                 assert_same_indices(g, w)
 
@@ -817,7 +828,7 @@ def reference_predict(model, X) -> list:
 
 def reference_cv_path(data, kernel, Cs, tol, k, seed) -> list[svm.CvResult]:
     X, labels = _stack(data)
-    folds, _ = stratified_folds(labels, k, seed)
+    folds = stratified_folds(labels, k, seed)
     binary = len(set(labels)) == 2
     accs: list[list[float]] = [[] for _ in Cs]
     fits: list[list[tuple]] = [[] for _ in Cs]
