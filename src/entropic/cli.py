@@ -270,6 +270,10 @@ def kernels(exp_id, source, config_path, out_dir, **flags) -> None:
         "best": {"kernel": result.kernel.describe(), "C": result.C,
                  "mean_accuracy": result.mean_accuracy},
         "table": [list(row) for row in result.table],
+        # Each table row's binary fits over all folds: how many, their SMO
+        # pair updates, their largest final KKT gap and how many missed tol.
+        "cells": [{"fits": cv.fits, "iterations": cv.iterations, "kkt_gap": cv.kkt_gap,
+                   "unconverged": cv.unconverged} for cv in result.cells],
         "config": {"seed": config.seed, "k": config.k, "target_len": config.target_len,
                    "tol": config.tol},
     }

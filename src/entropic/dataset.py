@@ -180,16 +180,16 @@ def _entropy_of_file(path: str, target_len: int) -> tuple[bool, float | str]:
 
 
 def _keep_freed_heap() -> None:
-    """Pool worker start: let glibc keep freed heap instead of trimming it.
+    """Let glibc keep freed heap instead of trimming it, before a run of files.
 
-    A worker keeps nothing alive between files, so by default glibc gives
-    the top of its heap back to the kernel after each one and the next file
+    Nothing is kept alive between files, so by default glibc may give the
+    top of the heap back to the kernel after each one and the next file
     faults it all in again. These are the largest values glibc's own dynamic
     adjustment reaches on 64-bit (trim is twice the mmap threshold). Where
-    libc cannot be loaded or has no mallopt, the worker runs as it would
-    have: an initializer that raises would break the pool.
+    libc cannot be loaded or has no mallopt, the process runs as it would
+    have: a pool initializer that raises would break the pool.
     """
-    import ctypes  # only pool workers load it
+    import ctypes
 
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -252,6 +252,8 @@ def build_entropy_table(
         except concurrent.futures.BrokenExecutor as exc:
             raise DatasetError(f"a worker process died: {exc}")
     else:
+        if len(records) > 1:
+            _keep_freed_heap()
         outcomes = map(_entropy_of_file, paths, lengths)
 
     for rec, (ok, outcome) in zip(records, outcomes):

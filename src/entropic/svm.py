@@ -21,7 +21,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,6 +101,33 @@ def _stack(data: Sequence[LabeledPoint]) -> tuple[np.ndarray, list]:
     return X, labels
 
 
+class _Problem(NamedTuple):
+    """A binary problem as train_binary sets it up, kept for warm starts along C."""
+
+    points: tuple  # the LabeledPoint objects, in order
+    kernel: KernelSpec
+    classes: tuple  # (neg, pos)
+    X: np.ndarray
+    y: np.ndarray  # -1.0 for neg, +1.0 for pos
+    K: np.ndarray
+    K_cols: list  # K_cols[i] is K[:, i], as a contiguous row
+    K_diag: list
+
+
+def _set_up(data: Sequence[LabeledPoint], kernel: KernelSpec) -> _Problem:
+    X, labels = _stack(data)
+    classes = _sorted_classes(labels)
+    if len(classes) != 2:
+        raise TrainingError(f"binary training needs exactly 2 classes, got {len(classes)}")
+    neg, pos = classes
+    K = kernel_matrix(kernel, X, X)
+    if not np.isfinite(K).all():
+        raise TrainingError(f"{kernel.describe()} kernel matrix is not finite on these features")
+    y = np.array([-1.0 if lab == neg else 1.0 for lab in labels])
+    return _Problem(tuple(data), kernel, (neg, pos), X, y, K, list(np.ascontiguousarray(K.T)),
+                    K.diagonal().tolist())
+
+
 @dataclass(frozen=True)
 class SvmModel:
     """Trained binary classifier separating class_pair[0] (sign -) from class_pair[1] (sign +)."""
@@ -121,6 +148,10 @@ class SvmModel:
     # without the bias. None on a model built any other way.
     dual: np.ndarray | None = field(default=None, repr=False, compare=False)
     f: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # The problem train_binary set up, Gram matrix included, which a start
+    # on the same points and kernel reuses; _binary_path drops it at the end
+    # of its path, so that the models it returns stay small.
+    _problem: _Problem | None = field(default=None, init=False, repr=False, compare=False)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -169,45 +200,42 @@ def train_binary(
     kernel, makes SMO resume from its dual solution instead of alpha = 0.
     That solution is feasible when no alpha in it exceeds C, since it keeps
     sum(alpha * y) = 0; a start that already meets tol returns its alphas
-    unchanged after 0 updates.
+    unchanged after 0 updates. A start trained on these very LabeledPoint
+    objects, in this order, with an equal kernel lends its Gram matrix too.
     """
     check_solver_params(C, tol)
-    X, labels = _stack(data)
-    classes = _sorted_classes(labels)
-    if len(classes) != 2:
-        raise TrainingError(f"binary training needs exactly 2 classes, got {len(classes)}")
-    neg, pos = classes
-    y = np.array([-1.0 if lab == neg else 1.0 for lab in labels])
+    problem = start._problem if start is not None else None
+    if (problem is None or problem.kernel != kernel or len(problem.points) != len(data)
+            or not all(map(operator.is_, problem.points, data))):
+        problem = _set_up(data, kernel)
+        if start is not None and (start.dual is None or len(start.dual) != len(problem.points)
+                                  or start.class_pair != problem.classes):
+            raise TrainingError("start is not a model trained on these points")
+    _, _, (neg, pos), X, y, K, K_cols, K_diag = problem
 
     n = len(y)
     if max_iter is None:
         max_iter = min(10 * n * n, 200_000)
-    K = kernel_matrix(kernel, X, X)
-    if not np.isfinite(K).all():
-        raise TrainingError(f"{kernel.describe()} kernel matrix is not finite on these features")
-    K_cols = np.ascontiguousarray(K.T)  # K_cols[i] is K[:, i], read without a stride
-    K_diag = K.diagonal().tolist()
-
     eps = 1e-12 * C
     upper = C - eps
-    if start is None:
-        alpha = np.zeros(n)
-        f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
-    elif start.dual is None or len(start.dual) != n or start.class_pair != (neg, pos):
-        raise TrainingError("start is not a model trained on these points")
-    elif (start.dual > C + eps).any():  # SMO can leave an alpha one rounding above its C
-        raise TrainingError(f"start has a dual variable above C={C}")
-    else:
-        alpha, f = start.dual, start.f.copy()
     # On problems of tens of points a NumPy call costs more than the
     # arithmetic it does, so the per-pair scalars are Python floats.
     ys = y.tolist()
-    a = alpha.tolist()
+    if start is None:
+        a = [0.0] * n
+        f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
+    else:
+        a = start.dual.tolist()
+        if max(a) > C + eps:  # SMO can leave an alpha one rounding above its C
+            raise TrainingError(f"start has a dual variable above C={C}")
+        f = start.f.copy()
     # up_y[i] is y_i if alpha_i may move so that y_i alpha_i grows (the 'up'
     # set), else -inf; low_y likewise for 'low' with +inf. So up_y - f is
     # y - f masked for the argmax without a np.where.
-    up_y = np.where(np.where(y > 0, alpha < upper, alpha > eps), y, -np.inf)
-    low_y = np.where(np.where(y > 0, alpha > eps, alpha < upper), y, np.inf)
+    up_y = np.array([yk if (ak < upper if yk > 0 else ak > eps) else -math.inf
+                     for yk, ak in zip(ys, a)])
+    low_y = np.array([yk if (ak > eps if yk > 0 else ak < upper) else math.inf
+                      for yk, ak in zip(ys, a)])
     gap_lo = -math.inf
     gap_hi = math.inf
     iterations = 0
@@ -217,7 +245,8 @@ def train_binary(
         i = int(up_vals.argmax())
         j = int(low_vals.argmin())
         gap_lo, gap_hi = low_vals.item(j), up_vals.item(i)
-        if gap_hi - gap_lo <= tol:
+        kkt_gap = gap_hi - gap_lo
+        if kkt_gap <= tol:
             break
 
         ai, aj, yi, yj = a[i], a[j], ys[i], ys[j]
@@ -246,30 +275,32 @@ def train_binary(
             up_y[k] = yk if (ak < upper if yk > 0 else ak > eps) else -math.inf
             low_y[k] = yk if (ak > eps if yk > 0 else ak < upper) else math.inf
         iterations += 1
+    else:  # no break: f moved after the last check, or there was none
+        kkt_gap = float((up_y - f).max() - (low_y - f).min())
 
-    alpha = np.array(a)
-    kkt_gap = float((up_y - f).max() - (low_y - f).min())
-    free = (alpha > eps) & (alpha < upper)
-    if np.any(free):
-        bias = float(np.mean(y[free] - f[free]))
+    free = [k for k, ak in enumerate(a) if eps < ak < upper]
+    if free:
+        bias = float(np.add.reduce(y[free] - f[free]) / len(free))  # np.mean's arithmetic
     elif math.isfinite(gap_lo) and math.isfinite(gap_hi):
-        bias = float((gap_lo + gap_hi) / 2.0)
+        bias = (gap_lo + gap_hi) / 2.0
     else:
         bias = 0.0
 
-    keep = alpha > 0.0
-    return SvmModel(
+    keep = [k for k, ak in enumerate(a) if ak > 0.0]
+    model = SvmModel(
         support_vectors=X[keep],
-        alpha=alpha[keep] * y[keep],
+        alpha=np.array([a[k] * ys[k] for k in keep]),
         bias=bias,
         kernel=kernel,
         class_pair=(neg, pos),
         iterations=iterations,
         kkt_gap=kkt_gap,
         converged=kkt_gap <= tol,
-        dual=alpha,
+        dual=np.array(a),
         f=f,
     )
+    object.__setattr__(model, "_problem", problem)
+    return model
 
 
 @dataclass(frozen=True)
@@ -321,6 +352,8 @@ def _binary_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[
     for i, C in enumerate(Cs):
         start = models[-1] if i and Cs[i - 1] <= C else None
         models.append(train_binary(data, kernel, C=C, tol=tol, start=start))
+    for model in models:
+        object.__setattr__(model, "_problem", None)
     return models
 
 

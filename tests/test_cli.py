@@ -14,8 +14,15 @@ from click.testing import CliRunner
 import entropic
 from conftest import make_matrix
 from entropic.cli import DEFAULTS, _config_value_ok, main
-from entropic.dataset import EMOTIONS, ExperimentConfig, audio_columns, entropy_table_csv
-from entropic.svm import KernelSpec
+from entropic.dataset import (
+    EMOTIONS,
+    ExperimentConfig,
+    audio_columns,
+    build_experiment2,
+    entropy_table_csv,
+    read_entropy_table,
+)
+from entropic.svm import KernelSpec, select_best_kernel
 
 
 @pytest.fixture
@@ -305,6 +312,23 @@ class TestKernelsCommand:
         doc = json.loads((out / "kernels.json").read_text())
         assert doc["best"]["mean_accuracy"] > 0.5
         assert len(doc["table"]) == 8 * 4  # 8 kernels x 4 C values
+        pairs = 8 * 7 // 2  # one-vs-one models per fold
+        assert len(doc["cells"]) == len(doc["table"])
+        for cell in doc["cells"]:
+            assert set(cell) == {"fits", "iterations", "kkt_gap", "unconverged"}
+            assert cell["fits"] == 3 * pairs
+            assert 0 <= cell["unconverged"] <= cell["fits"]
+            assert cell["kkt_gap"] <= 1e-3 or cell["unconverged"] > 0
+
+    def test_cells_roll_up_the_grid_search(self, runner, table_csv, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["kernels", "2", str(table_csv), "--out-dir", str(out), "--k", "3"])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / "kernels.json").read_text())
+        want = select_best_kernel(build_experiment2(read_entropy_table(table_csv)), k=3, seed=0)
+        assert doc["cells"] == [{"fits": cv.fits, "iterations": cv.iterations, "kkt_gap": cv.kkt_gap,
+                                 "unconverged": cv.unconverged} for cv in want.cells]
+        assert [row[2] for row in doc["table"]] == [cv.mean_accuracy for cv in want.cells]
 
     def test_config_echoes_tol(self, runner, table_csv, tmp_path):
         (tmp_path / "cfg.json").write_text(json.dumps({"tol": 0.01}))
@@ -386,6 +410,7 @@ UNNEEDED_MODULES = ("numpy.random", "numpy.ma", "concurrent.futures")
 @pytest.mark.parametrize("args", [
     ["experiment", "1", "TABLE"], ["experiment", "2", "TABLE"], ["experiment", "3", "TABLE"],
     ["kernels", "2", "TABLE"], ["kernels", "3", "TABLE"], ["experiment", "2", "CORPUS", "--jobs", "1"],
+    ["stats", "TABLE"],
 ], ids=lambda args: "-".join(args[:3]).lower())
 def test_commands_do_not_load_unneeded_modules(table_csv, tmp_path, args):
     if "CORPUS" in args:

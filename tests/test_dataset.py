@@ -292,6 +292,18 @@ class TestKeepFreedHeap:
         monkeypatch.setattr(ctypes, "CDLL", refuse)
         assert dataset._keep_freed_heap() is None
 
+    @pytest.mark.parametrize("files,calls", [(1, 0), (2, 1), (60, 1)])
+    def test_serial_path_keeps_freed_heap_once_for_several_files(self, tmp_path, monkeypatch,
+                                                                 files, calls):
+        # The serial loop runs in the calling process, which then pays the
+        # same trim-and-fault cycle per file as a pool worker would.
+        made = []
+        monkeypatch.setattr(dataset, "_entropy_of_file", lambda *a: made.append(a) or (True, 1.0))
+        monkeypatch.setattr(dataset, "_keep_freed_heap", lambda: made.append("keep"))
+        records = write_corpus(tmp_path, actors=[1])[:files]
+        build_entropy_table(records, jobs=1)
+        assert made == ["keep"] * calls + [(r.path, dataset.DEFAULT_TARGET_LEN) for r in records]
+
     @pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
     def test_pool_workers_do_not_fault_the_heap_in_per_file(self, tmp_path):
         # Without the worker start, glibc trims each worker's heap after

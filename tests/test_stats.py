@@ -4,6 +4,7 @@ import pytest
 from conftest import make_matrix
 from entropic.errors import StatsError
 from entropic.stats import (
+    _quartiles,
     boxplot_by_audio,
     boxplot_csv,
     correlation_csv,
@@ -240,6 +241,44 @@ class TestBoxplot:
         assert len(out) == 60
         emotions = [meta.emotion for meta, _ in out]
         assert emotions[:4] == ["neutral"] * 4
+
+
+def quartile_cases():
+    """Sizes 1 to 200: continuous values over many magnitudes, ties, and signed zeros."""
+    rng = np.random.default_rng(31)
+    for n in range(1, 201):
+        yield rng.normal(size=n)
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        yield rng.integers(-2, 3, size=n).astype(np.float64)
+        yield rng.choice([-0.0, 0.0, 1.0], size=n)
+        yield rng.choice([-0.0, 0.0], size=n)
+
+
+class TestQuartilesMatchNumpy:
+    def test_bit_identical_to_np_quantile(self):
+        for x in quartile_cases():
+            want = np.quantile(x, [0.25, 0.5, 0.75])
+            got = np.array(_quartiles(x), dtype=np.float64)
+            assert got.tobytes() == want.tobytes(), x
+
+    def test_both_interpolation_branches_are_taken(self):
+        # Here a + (b - a) * t rounds differently from numpy's t >= 0.5 branch,
+        # b - (b - a) * (1 - t), at the median (t = 0.5) and q3 (t = 0.75).
+        x = np.array([0.08, 0.47, 0.03, 0.96, 0.05, 0.21])
+        s = np.sort(x)
+        for q, (i, t) in zip((0.5, 0.75), ((2, 0.5), (3, 0.75))):
+            a, b = s[i], s[i + 1]
+            assert a + (b - a) * t != b - (b - a) * (1 - t) == np.quantile(x, q)
+        assert np.array(_quartiles(x)).tobytes() == np.quantile(x, [0.25, 0.5, 0.75]).tobytes()
+
+    def test_nan_becomes_every_quartile(self):
+        assert all(np.isnan(_quartiles(np.array([1.0, np.nan, 2.0]))))
+
+    def test_summarize_keeps_np_quantile(self):
+        x = np.random.default_rng(32).normal(size=24)
+        q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
+        s = summarize(x)
+        assert (s.q1, s.median, s.q3) == (float(q1), float(med), float(q3))
 
 
 class TestCsvOutputs:

@@ -373,6 +373,109 @@ class TestWarmStart:
         assert not any(fields[name].repr or fields[name].compare for name in ("dual", "f"))
 
 
+def fit_bytes(model):
+    """Every number a fit returns, as bytes: dual, f, alphas, support vectors,
+    bias, iterations and KKT gap."""
+    arrays = (model.dual, model.f, model.alpha, model.support_vectors)
+    return [a.tobytes() for a in arrays] + [repr((model.bias, model.iterations, model.kkt_gap))]
+
+
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The number of Gram matrices computed so far, as a one-item list."""
+    calls = [0]
+    plain = svm.kernel_matrix
+
+    def counted(spec, X, Y):
+        calls[0] += 1
+        return plain(spec, X, Y)
+
+    monkeypatch.setattr(svm, "kernel_matrix", counted)
+    return calls
+
+
+class TestProblemReuse:
+    def overlapping(self, seed=1):
+        X, labels = make_blobs(seed=seed, n_per_class=9, centers=((0.0, 0.0), (1.0, 1.0)))
+        return points_from(X, labels)
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("gaussian", sigma=0.8)])
+    def test_same_points_reuse_the_problem_bit_for_bit(self, gram_calls, kernel):
+        data = self.overlapping()
+        start = train_binary(data, kernel, C=0.1)
+        copies = [LabeledPoint(p.features.copy(), p.label) for p in data]
+        assert gram_calls == [1]
+        warm = train_binary(data, kernel, C=100.0, start=start)
+        assert gram_calls == [1] and warm._problem is start._problem
+        equal_spec = dataclasses.replace(kernel)
+        assert equal_spec is not kernel
+        assert train_binary(data, equal_spec, C=100.0, start=start)._problem is start._problem
+        full = train_binary(copies, kernel, C=100.0, start=start)
+        assert gram_calls == [2] and full._problem is not start._problem
+        stripped = train_binary(data, kernel, C=100.0, start=dataclasses.replace(start))
+        assert warm.iterations > 0
+        assert fit_bytes(warm) == fit_bytes(full) == fit_bytes(stripped)
+
+    def test_other_points_of_the_same_size_and_classes_are_not_reused(self, gram_calls):
+        data = self.overlapping()
+        kernel = KernelSpec("linear")
+        start = train_binary(data, kernel, C=0.1)
+        other = self.overlapping(seed=2)
+        assert [p.label for p in other] == [p.label for p in data]
+        swapped = list(data)
+        swapped[3] = other[3]
+        for points in (other, swapped):
+            calls = gram_calls[0]
+            warm = train_binary(points, kernel, C=10.0, start=start)
+            assert gram_calls[0] == calls + 1
+            assert warm._problem.points == tuple(points)
+            stripped = dataclasses.replace(start)  # the same state without the problem
+            assert fit_bytes(warm) == fit_bytes(train_binary(points, kernel, C=10.0, start=stripped))
+
+    def test_other_kernel_is_not_reused(self, gram_calls):
+        data = self.overlapping()
+        start = train_binary(data, KernelSpec("linear"), C=0.1)
+        gaussian = KernelSpec("gaussian", sigma=0.8)
+        warm = train_binary(data, gaussian, C=10.0, start=start)
+        assert gram_calls == [2] and warm._problem.kernel == gaussian
+        want = train_binary(data, gaussian, C=10.0, start=dataclasses.replace(start))
+        assert fit_bytes(warm) == fit_bytes(want)
+
+    def test_refit_at_the_same_C_keeps_bounded_alphas_out_of_up_and_low(self):
+        # The masks a warm fit starts from must match the ones its start
+        # ended with, also for alphas at the bound C.
+        data = self.overlapping()
+        for C in (0.1, 1.0):
+            start = train_binary(data, KernelSpec("linear"), C=C)
+            assert start.converged and (start.dual >= C * (1 - 1e-12)).sum() >= 2
+            again = train_binary(data, KernelSpec("linear"), C=C, start=start)
+            assert again.iterations == 0 and fit_bytes(again)[:2] == fit_bytes(start)[:2]
+            assert again.kkt_gap == start.kkt_gap and again.bias == start.bias
+
+    def test_problem_is_kept_out_of_init_repr_and_equality(self):
+        field = {f.name: f for f in dataclasses.fields(SvmModel)}["_problem"]
+        assert not (field.init or field.repr or field.compare)
+
+    @pytest.mark.parametrize("call", [
+        lambda data: train_multiclass(data, KernelSpec("linear"), C=1.0),
+        lambda data: kfold_cross_validate(data, KernelSpec("gaussian", sigma=1.0), k=3),
+        lambda data: select_best_kernel(data, Cs=DEFAULT_C_GRID, k=3),
+    ], ids=["multiclass", "kfold", "grid"])
+    def test_returned_models_keep_no_path_state(self, monkeypatch, call):
+        X, labels = make_blobs(seed=3, n_per_class=6, centers=((0, 0), (1, 0), (0, 1)))
+        models = []
+        trained = svm.train_binary
+
+        def recorded(*args, **kwargs):
+            models.append(trained(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(svm, "train_binary", recorded)
+        result = call(points_from(X, labels))
+        assert models and all(m._problem is None for m in models)
+        assert all(m._problem is None for m in getattr(result, "models", ()))
+
+
 class TestDecisionValue:
     def test_no_support_vectors_returns_bias(self):
         m = SvmModel(
