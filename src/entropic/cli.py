@@ -126,8 +126,11 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
         sys.stdout.write(text)
         return
     path = Path(out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise EntropicError(f"cannot write {path}: {exc}")
     click.echo(f"wrote {path}", err=True)
 
 

@@ -55,17 +55,15 @@ class RecordingMeta:
 
     def __post_init__(self) -> None:
         _check_actor(self.actor_id, self.sex)
-        if self.emotion not in EMOTIONS:
-            raise DatasetError(f"unknown emotion: {self.emotion!r}")
-        if self.intensity not in INTENSITIES:
-            raise DatasetError(f"unknown intensity: {self.intensity!r}")
-        if self.emotion == "neutral" and self.intensity != "normal":
-            raise DatasetError("neutral recordings exist at normal intensity only")
-        if self.statement not in (1, 2) or self.repetition not in (1, 2):
-            raise DatasetError("statement and repetition must be 1 or 2")
+        try:
+            known = self.audio() in _COLUMN_INDEX
+        except TypeError:  # an unhashable field, say a list
+            known = False
+        if not known:
+            raise DatasetError(f"not an audio column of the corpus: {self.audio().column_key()}")
 
-    def coordinate(self) -> tuple:
-        return (self.actor_id, self.emotion, self.intensity, self.statement, self.repetition)
+    def audio(self) -> AudioInfo:
+        return AudioInfo(self.emotion, self.intensity, self.statement, self.repetition)
 
 
 def audio_columns() -> list[AudioInfo]:
@@ -115,9 +113,8 @@ MANIFEST_HEADER = ["path", "actor_id", "sex", "emotion", "intensity", "statement
 
 
 def parse_manifest(path) -> list[RecordingMeta]:
-    """Read a manifest CSV and reject duplicate corpus coordinates."""
+    """Read a manifest CSV; a repeated coordinate is left to build_entropy_table."""
     records = []
-    seen: dict[tuple, int] = {}
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -127,44 +124,23 @@ def parse_manifest(path) -> list[RecordingMeta]:
                 )
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    rec = RecordingMeta(
-                        path=row["path"],
-                        actor_id=int(row["actor_id"]),
-                        sex=row["sex"],
-                        emotion=row["emotion"],
-                        intensity=row["intensity"],
-                        statement=int(row["statement"]),
-                        repetition=int(row["repetition"]),
-                    )
+                    records.append(RecordingMeta(  # the fields in MANIFEST_HEADER order
+                        row["path"], int(row["actor_id"]), row["sex"], row["emotion"],
+                        row["intensity"], int(row["statement"]), int(row["repetition"])))
                 except (TypeError, ValueError, DatasetError) as exc:
                     raise DatasetError(f"{path}:{lineno}: {exc}")
-                coord = rec.coordinate()
-                if coord in seen:
-                    raise DatasetError(
-                        f"{path}:{lineno}: duplicate recording coordinates {coord} "
-                        f"(first seen at line {seen[coord]})"
-                    )
-                seen[coord] = lineno
-                records.append(rec)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read manifest {path}: {exc}")
     return records
 
 
 def scan_ravdess_tree(root) -> list[RecordingMeta]:
-    """Collect RAVDESS-named .wav files below a directory."""
+    """Collect RAVDESS-named .wav files below a directory, in sorted path
+    order; a repeated coordinate is left to build_entropy_table."""
     root = Path(root)
     if not root.is_dir():
         raise DatasetError(f"not a directory: {root}")
-    records = []
-    seen: dict[tuple, str] = {}
-    for wav in sorted(root.rglob("*.wav")):
-        rec = parse_ravdess_filename(str(wav))
-        coord = rec.coordinate()
-        if coord in seen:
-            raise DatasetError(f"duplicate recording coordinates {coord}: {seen[coord]} and {wav}")
-        seen[coord] = str(wav)
-        records.append(rec)
+    records = [parse_ravdess_filename(str(wav)) for wav in sorted(root.rglob("*.wav"))]
     if not records:
         raise DatasetError(f"no RAVDESS-named .wav files under {root}")
     return records
@@ -215,15 +191,27 @@ def build_entropy_table(
     """Compute one persistent entropy per recording, arranged actors x audios.
 
     Rows follow ascending actor id, columns the canonical 60-audio layout.
-    Per-file failures are collected (not fatal) and leave their cells NaN;
-    jobs > 1 fans the per-file work out to at most as many worker processes
-    as there are files and CPUs this process may run on.
+    A cell with two records, or an actor with two sexes, is refused with
+    both paths before any file is decoded. Per-file failures are collected
+    (not fatal) and leave their cells NaN; jobs > 1 fans the per-file work
+    out to at most as many worker processes as there are files and usable CPUs.
     """
     if not records:
         raise DatasetError("no recordings")
-    actor_ids = sorted({r.actor_id for r in records})
+    cells: dict[tuple, str] = {}
+    actors: dict[int, RecordingMeta] = {}  # each actor's first record
+    for rec in records:
+        cell = (rec.actor_id, rec.audio())
+        if cell in cells:
+            raise DatasetError(f"duplicate recording of actor {rec.actor_id}, "
+                               f"{cell[1].column_key()}: {cells[cell]} and {rec.path}")
+        cells[cell] = rec.path
+        first = actors.setdefault(rec.actor_id, rec)
+        if first.sex != rec.sex:
+            raise DatasetError(f"actor {rec.actor_id} is {first.sex} in {first.path} "
+                               f"and {rec.sex} in {rec.path}")
+    actor_ids = sorted(actors)
     actor_row = {a: i for i, a in enumerate(actor_ids)}
-    sexes = {r.actor_id: r.sex for r in records}
     columns = audio_columns()
 
     values = np.full((len(actor_ids), len(columns)), np.nan)
@@ -258,14 +246,13 @@ def build_entropy_table(
 
     for rec, (ok, outcome) in zip(records, outcomes):
         if ok:
-            col = _COLUMN_INDEX[AudioInfo(rec.emotion, rec.intensity, rec.statement, rec.repetition)]
-            values[actor_row[rec.actor_id], col] = outcome
+            values[actor_row[rec.actor_id], _COLUMN_INDEX[rec.audio()]] = outcome
         else:
             failures.append((rec.path, outcome))
 
     matrix = EntropyMatrix(
         values=values,
-        actor_meta=tuple(ActorInfo(a, sexes[a]) for a in actor_ids),
+        actor_meta=tuple(ActorInfo(a, actors[a].sex) for a in actor_ids),
         audio_meta=tuple(columns),
     )
     return EntropyTableResult(matrix=matrix, failures=tuple(sorted(failures)))

@@ -233,8 +233,8 @@ def subsample(s: Signal, target_len: int) -> Signal:
     which preserves the first and last sample and is deterministic.
     Upsampling is refused.
     """
-    if target_len == len(s) >= 2:
-        return s  # the indices are 0..n-1
+    if target_len == len(s):
+        return s  # the indices are 0..n-1; a one-sample signal has no others
     return Signal(samples=s.samples[_subsample_indices(len(s), target_len)])
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import wave
@@ -13,6 +14,7 @@ from click.testing import CliRunner
 
 import entropic
 from conftest import make_matrix
+from entropic import dataset as ds
 from entropic.cli import DEFAULTS, _config_value_ok, main
 from entropic.dataset import (
     EMOTIONS,
@@ -123,6 +125,16 @@ class TestEntropyCommand:
         rows = list(csv.reader(io.StringIO(result.output)))
         assert [row[0] for row in rows[1:]] == [str(sig_csv), *map(str, odd)]
         assert all(row[1:] == plain for row in rows[1:])
+
+    def test_one_sample_signal_has_entropy_zero(self, runner, tmp_path):
+        p = tmp_path / "one.csv"
+        p.write_text("0.5\n")
+        result = runner.invoke(main, ["entropy", str(p)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[1] == f"{p},1,1,1,0.0"
+        result = runner.invoke(main, ["barcode", str(p)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "birth,death\n0.5,inf\n"
 
     def test_out_dir(self, runner, sig_csv, tmp_path):
         out = tmp_path / "out"
@@ -613,3 +625,69 @@ def test_table_outside_the_corpus_layout_is_an_error(runner, table_csv, tmp_path
     assert result.output.startswith(f"error: {bad}:") and message in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert not (tmp_path / "out").exists()
+
+
+def write_manifest(tmp_path, rows):
+    """A manifest whose rows name the two WAVs of write_wav_tree as w0 and w1."""
+    wavs = write_wav_tree(tmp_path / "corpus")
+    lines = [",".join(ds.MANIFEST_HEADER)]
+    lines += [row.replace("w0", str(wavs[0])).replace("w1", str(wavs[1])) for row in rows]
+    (tmp_path / "m.csv").write_text("\n".join(lines) + "\n")
+    return tmp_path / "m.csv", wavs
+
+
+def _manifest_duplicate(tmp_path):
+    source, (w0, w1) = write_manifest(tmp_path, ["w0,1,male,happy,normal,1,1",
+                                                 "w1,1,male,happy,normal,1,1"])
+    return source, f"duplicate recording of actor 1, happy-normal-1-1: {w0} and {w1}"
+
+
+def _manifest_two_sexes(tmp_path):
+    source, (w0, w1) = write_manifest(tmp_path, ["w0,1,male,neutral,normal,1,1",
+                                                 "w1,1,female,happy,normal,1,1"])
+    return source, f"actor 1 is male in {w0} and female in {w1}"
+
+
+def _tree_duplicate(tmp_path):
+    wavs = write_wav_tree(tmp_path / "corpus")
+    (tmp_path / "corpus" / "copy").mkdir()
+    copy = tmp_path / "corpus" / "copy" / wavs[0].name
+    copy.write_bytes(wavs[0].read_bytes())
+    return tmp_path / "corpus", f"duplicate recording of actor 1, neutral-normal-1-1: {wavs[0]} and {copy}"
+
+
+@pytest.mark.parametrize("command", [["experiment", "2"], ["kernels", "3"]])
+@pytest.mark.parametrize("make", [_manifest_duplicate, _manifest_two_sexes, _tree_duplicate],
+                         ids=lambda make: make.__name__[1:])
+def test_inconsistent_corpus_is_refused_before_any_file_is_decoded(runner, tmp_path, monkeypatch,
+                                                                   command, make):
+    source, message = make(tmp_path)
+    decoded = []
+    load_wav = ds.load_wav
+    monkeypatch.setattr(ds, "load_wav", lambda *args: decoded.append(args[0]) or load_wav(*args))
+    result = runner.invoke(main, command + [str(source), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {message}\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert decoded == []
+    assert not (tmp_path / "out").exists()
+    # The two recordings alone are decoded: the patched load_wav is the one a run calls.
+    if (tmp_path / "corpus" / "copy").exists():
+        shutil.rmtree(tmp_path / "corpus" / "copy")
+    result = runner.invoke(main, command + [str(tmp_path / "corpus")])
+    assert result.exit_code == 1 and "entropy matrix incomplete" in result.output, result.output
+    assert len(decoded) == 2
+
+
+@pytest.mark.parametrize("command", [["entropy", "SIGNAL"], ["barcode", "SIGNAL"],
+                                     ["experiment", "3", "TABLE"], ["stats", "TABLE"],
+                                     ["kernels", "2", "TABLE"]])
+def test_out_dir_that_cannot_be_written_is_an_error(runner, sig_csv, table_csv, command):
+    out = sig_csv / "sub"  # below a regular file
+    args = [{"SIGNAL": str(sig_csv), "TABLE": str(table_csv)}.get(a, a) for a in command]
+    result = runner.invoke(main, args + ["--out-dir", str(out)])
+    assert result.exit_code == 1, result.output
+    lines = result.output.splitlines()
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert lines[-1].startswith(f"error: cannot write {out}{os.sep}") and "Not a directory" in lines[-1]
+    assert isinstance(result.exception, SystemExit)  # no traceback

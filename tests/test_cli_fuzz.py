@@ -1,8 +1,8 @@
 """Malformed input of every kind reaches the user as an exit code, never a traceback.
 
 Each test drives `main` through CliRunner with one kind of generated input:
-manifests, entropy tables, --config values, CSV signals and WAV files whose
-header is mutated or cut short. The exit code must be 0, 1 or 2, and the only
+manifests, entropy tables, --config values, CSV signals, WAV files whose
+header is mutated or cut short, and an --out-dir below a regular file. The exit code must be 0, 1 or 2, and the only
 exception that may leave a command is SystemExit. The examples are
 derandomized, so a run is repeatable, and bounded to keep the suite fast.
 """
@@ -63,6 +63,10 @@ def manifests(draw) -> bytes:
         st.lists(CELL, max_size=9),
         st.builds(lambda actor, emotion, intensity: ["a.wav", actor, "male", emotion, intensity, "1", "1"],
                   CELL, CELL, CELL),
+        # Valid rows, which repeat a coordinate or give actor 1 both sexes.
+        st.builds(lambda path, sex, repetition: [path, "1", sex, "happy", "normal", "1", repetition],
+                  st.sampled_from(["a.wav", "b.csv"]), st.sampled_from(["male", "female"]),
+                  st.sampled_from(["1", "2"])),
     ), max_size=4))
     return "\n".join(",".join(row) for row in [header, *rows]).encode() + draw(st.sampled_from([b"", b"\n", b"\xff"]))
 
@@ -72,6 +76,10 @@ def manifests(draw) -> bytes:
 @given(manifest=manifests(), command=st.sampled_from([["experiment", "2"], ["kernels", "3"]]))
 @example(manifest=",".join(MANIFEST_HEADER).encode() + b"\n\xff", command=["experiment", "2"])
 @example(manifest=b"x" * 131_073 + b"\n", command=["experiment", "2"])
+@example(manifest=",".join(MANIFEST_HEADER).encode() + b"\na.wav,1,male,happy,normal,1,1" * 2,
+         command=["experiment", "2"])
+@example(manifest=",".join(MANIFEST_HEADER).encode() + b"\nb.csv,1,male,happy,normal,1,1"
+         + b"\na.wav,1,female,happy,normal,1,2", command=["kernels", "3"])
 def test_malformed_manifest(manifest, command):
     run({"m.csv": manifest, "a.wav": b"RIFF", "b.csv": signal_bytes()}, command + ["@m.csv"])
 
@@ -158,3 +166,12 @@ def wavs(draw) -> bytes:
 @given(wav=wavs(), command=st.sampled_from([["entropy"], ["barcode"], ["entropy", "--target-len", "5"]]))
 def test_mutated_or_truncated_wav(wav, command):
     run({"w.wav": wav}, command[:1] + ["@w.wav"] + command[1:])
+
+
+@fuzz
+@given(command=st.sampled_from([["entropy", "@s.csv"], ["barcode", "@s.csv"], ["experiment", "3", "@t.csv"],
+                                ["stats", "@t.csv"]]),
+       out_dir=st.sampled_from(["@s.csv/out", "@t.csv/a/b"]))
+def test_out_dir_below_a_regular_file(command, out_dir):
+    table = "\n".join(",".join(row) for row in table_rows(3)).encode()
+    run({"s.csv": signal_bytes(), "t.csv": table}, command + ["--out-dir", out_dir])

@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import json
 import os
 import subprocess
@@ -37,6 +38,14 @@ from entropic.dataset import (
 )
 
 
+def four_old_rules(emotion, intensity, statement, repetition) -> bool:
+    """The checks that RecordingMeta made before it asked whether a record's
+    audio is one of the 60 columns; kept as the reference for that test."""
+    return (emotion in EMOTIONS and intensity in ("normal", "strong")
+            and not (emotion == "neutral" and intensity != "normal")
+            and statement in (1, 2) and repetition in (1, 2))
+
+
 class TestRecordingMeta:
     def test_neutral_strong_rejected(self):
         with pytest.raises(DatasetError):
@@ -49,6 +58,34 @@ class TestRecordingMeta:
     def test_unknown_emotion(self):
         with pytest.raises(DatasetError):
             RecordingMeta("x.wav", 1, "male", "bored", "normal", 1, 1)
+
+    def test_layout_membership_is_the_four_old_rules(self):
+        emotions = (*EMOTIONS, "bored", "Happy")
+        intensities = ("normal", "strong", "loud")
+        statements = (1, 2, 0, 3, True, 2.0)
+        repetitions = (1, 2, -1, False, 1.0, 1.5, 2.5)
+        combinations = list(itertools.product(emotions, intensities, statements, repetitions))
+        assert len(combinations) == 1260
+        accepted = 0
+        for emotion, intensity, statement, repetition in combinations:
+            args = ("x.wav", 1, "male", emotion, intensity, statement, repetition)
+            if four_old_rules(emotion, intensity, statement, repetition):
+                assert RecordingMeta(*args).audio() in audio_columns()
+                accepted += 1
+            else:
+                key = f"{emotion}-{intensity}-{statement}-{repetition}"
+                with pytest.raises(DatasetError, match=f"not an audio column of the corpus: {key}$"):
+                    RecordingMeta(*args)
+        # 15 (emotion, intensity) pairs; statements 1, 2, True and 2.0; repetitions 1, 2 and 1.0
+        assert accepted == 15 * 4 * 3
+
+    @pytest.mark.parametrize("fields", [
+        (["happy"], "normal", 1, 1), ("happy", {"normal"}, 1, 1), ("happy", "normal", [1], 1),
+        ("happy", "normal", 1, np.array([1, 2])),
+    ], ids=["emotion_list", "intensity_set", "statement_list", "repetition_array"])
+    def test_unhashable_field_is_a_dataset_error(self, fields):
+        with pytest.raises(DatasetError, match="not an audio column"):
+            RecordingMeta("x.wav", 1, "male", *fields)
 
 
 class TestParseRavdessFilename:
@@ -90,16 +127,6 @@ class TestParseManifest:
         p = tmp_path / "m.csv"
         p.write_text(self.HEADER + "a.wav,1,male,bored,normal,1,1\n")
         with pytest.raises(DatasetError, match="bored"):
-            parse_manifest(p)
-
-    def test_duplicate_coordinates_rejected(self, tmp_path):
-        p = tmp_path / "m.csv"
-        p.write_text(
-            self.HEADER
-            + "a.wav,1,male,angry,strong,1,2\n"
-            + "b.wav,1,male,angry,strong,1,2\n"
-        )
-        with pytest.raises(DatasetError, match="duplicate"):
             parse_manifest(p)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -158,6 +185,13 @@ def write_corpus(tmp_path, actors, samples_by_emotion=None):
     return records
 
 
+def refuse_to_decode(monkeypatch) -> list:
+    """Stub out decoding; returns the list of the paths a run asks to decode."""
+    decoded = []
+    monkeypatch.setattr(dataset, "_entropy_of_file", lambda path, target_len: decoded.append(path))
+    return decoded
+
+
 class TestBuildEntropyTable:
     def test_monotone_recordings_give_zero(self, tmp_path):
         records = []
@@ -181,6 +215,18 @@ class TestBuildEntropyTable:
         assert result.matrix.complete
         assert np.allclose(result.matrix.values, 1.0397208, atol=1e-6)
 
+    def test_one_frame_wav_has_entropy_zero(self, tmp_path):
+        with wave.open(str(tmp_path / "03-01-05-01-01-01-01.wav"), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(8000)
+            wf.writeframes(np.array([1234], dtype="<i2").tobytes())
+        result = build_entropy_table(scan_ravdess_tree(tmp_path))
+        assert result.failures == ()
+        assert missing_cells(result.matrix) == [
+            (1, c.column_key()) for c in audio_columns() if c != ("angry", "normal", 1, 1)]
+        assert np.nansum(result.matrix.values) == 0.0
+
     def test_failures_collected_not_fatal(self, tmp_path):
         records = write_corpus(tmp_path, actors=[1])
         (tmp_path / f"a1-{audio_columns()[0].column_key()}.csv").write_text("abc\n")
@@ -188,6 +234,59 @@ class TestBuildEntropyTable:
         assert len(result.failures) == 1
         assert not result.matrix.complete
         assert missing_cells(result.matrix) == [(1, "neutral-normal-1-1")]
+
+    def test_duplicate_coordinates_rejected(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        p.write_text(
+            TestParseManifest.HEADER
+            + "a.wav,1,male,angry,strong,1,2\n"
+            + "b.wav,1,male,angry,strong,1,2\n"
+        )
+        records = parse_manifest(p)
+        assert [r.path for r in records] == ["a.wav", "b.wav"]
+        decoded = refuse_to_decode(monkeypatch)
+        with pytest.raises(DatasetError, match="duplicate") as err:
+            build_entropy_table(records)
+        assert "a.wav and b.wav" in str(err.value)
+        assert "angry-strong-1-2" in str(err.value)
+        assert decoded == []
+
+    def test_duplicate_coordinates_name_both_paths(self, tmp_path, monkeypatch):
+        from scipy.io import wavfile
+
+        paths = []
+        for folder in ("Actor_01", "copy"):
+            (tmp_path / folder).mkdir()
+            paths.append(tmp_path / folder / "03-01-01-01-01-01-01.wav")
+            wavfile.write(paths[-1], 8000, np.array([0, 100, -100, 50], dtype=np.int16))
+        records = scan_ravdess_tree(tmp_path)
+        assert [r.path for r in records] == [str(p) for p in paths]
+        decoded = refuse_to_decode(monkeypatch)
+        with pytest.raises(DatasetError, match="duplicate") as err:
+            build_entropy_table(records)
+        assert all(str(p) in str(err.value) for p in paths)
+        assert decoded == []
+
+    def test_actor_with_two_sexes_rejected(self, tmp_path, monkeypatch):
+        p = tmp_path / "m.csv"
+        p.write_text(
+            TestParseManifest.HEADER
+            + "a.wav,1,male,angry,strong,1,2\n"
+            + "b.wav,2,female,angry,strong,1,2\n"
+            + "c.wav,1,female,happy,normal,1,1\n"
+        )
+        decoded = refuse_to_decode(monkeypatch)
+        with pytest.raises(DatasetError, match="actor 1 is male in a.wav and female in c.wav"):
+            build_entropy_table(parse_manifest(p))
+        assert decoded == []
+
+    def test_same_record_twice_rejected(self, tmp_path, monkeypatch):
+        records = write_corpus(tmp_path, actors=[1])
+        decoded = refuse_to_decode(monkeypatch)
+        with pytest.raises(DatasetError, match="duplicate") as err:
+            build_entropy_table(records + [records[7]])
+        assert f"{records[7].path} and {records[7].path}" in str(err.value)
+        assert decoded == []
 
     def test_parallel_matches_serial(self, tmp_path, monkeypatch):
         fake_cpus(monkeypatch, 2, 2)  # a pool of 2 even on one core
@@ -608,18 +707,6 @@ class TestScanTree:
         assert len(records) == 1
         assert records[0].emotion == "happy"
         assert records[0].path.endswith("03-01-03-01-01-01-01.wav")
-
-    def test_duplicate_coordinates_name_both_paths(self, tmp_path):
-        from scipy.io import wavfile
-
-        paths = []
-        for folder in ("Actor_01", "copy"):
-            (tmp_path / folder).mkdir()
-            paths.append(tmp_path / folder / "03-01-01-01-01-01-01.wav")
-            wavfile.write(paths[-1], 8000, np.array([0, 100, -100, 50], dtype=np.int16))
-        with pytest.raises(DatasetError, match="duplicate") as err:
-            scan_ravdess_tree(tmp_path)
-        assert all(str(p) in str(err.value) for p in paths)
 
     def test_empty_tree_rejected(self, tmp_path):
         with pytest.raises(DatasetError):

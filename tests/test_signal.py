@@ -443,6 +443,10 @@ class TestSubsample:
         with pytest.raises(SignalError):
             subsample(s, 1)
 
+    def test_one_sample_signal_is_kept_whole(self):
+        s = Signal(np.array([0.5]))
+        assert subsample(s, 1) is s
+
 
 class TestCanonicalize:
     def test_ties_broken_by_index(self):
