@@ -3,14 +3,13 @@
 Subcommands: entropy, barcode, experiment, stats, kernels. `kernels N` is the
 kernel/C grid search for each of the three experiments; `experiment N` runs
 one experiment with one kernel and C. Option precedence is built-in defaults
-< --config JSON file < explicit flags. The defaults are those of
-ExperimentConfig and KernelSpec (polynomial: degree 2, offset 1). A --config
-key is one of the command's flag names with underscores (target_len for
---target-len), or tol for experiment and kernels; any other key exits 2.
-stats reads no config. An environment variable ENTROPIC_<COMMAND>_<OPTION>
-sets a flag of one subcommand, e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for
-`entropy --target-len 3` (click auto-envvar); a bare ENTROPIC_TARGET_LEN is
-ignored. The effective configuration is echoed into every primary output.
+< ENTROPIC_<COMMAND>_<OPTION> environment variables < explicit flags. The
+defaults are those of ExperimentConfig and KernelSpec (polynomial: degree 2,
+offset 1). A variable sets a flag of one subcommand, e.g.
+ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy --target-len 3` (click
+auto-envvar), and click checks it as it checks the flag; a bare
+ENTROPIC_TARGET_LEN is ignored. The effective configuration is echoed into
+every primary output. A table or manifest may start with a UTF-8 BOM.
 
 Exit codes: 0 success, 1 partial per-file failure or an error of the run
 (one `error:` line), 2 invalid invocation.
@@ -49,44 +48,9 @@ DEFAULTS = {
 _MINIMUM = {"target_len": 2, "seed": 0, "k": 2, "jobs": 1}
 
 
-def _config_value_ok(key: str, value) -> bool:
-    """Whether a --config value has the type its flag would give it.
-
-    The default's type decides: an int default takes ints and a float one
-    any number a float can hold; a None default also takes None. kernel
-    takes a name.
-    """
-    default = DEFAULTS[key]
-    if value is None:
-        return default is None
-    if isinstance(value, bool):
-        return False
-    if key == "kernel":
-        return isinstance(value, str)
-    if isinstance(default, int):
-        return isinstance(value, int)
-    return isinstance(value, float) or isinstance(value, int) and abs(value) <= sys.float_info.max
-
-
-def _effective_config(config_path: str | None, flags: dict, *file_only: str) -> dict:
-    """A command's options; its config keys are the keys of ``flags`` and ``file_only``."""
-    cfg = {key: DEFAULTS[key] for key in (*flags, *file_only)}
-    if config_path:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
-            raise click.UsageError(f"cannot read config file {config_path}: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise click.UsageError(f"config file {config_path} must hold a JSON object")
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            if not _config_value_ok(key, value):
-                raise click.UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
-        cfg.update(file_cfg)
-    cfg.update({k: v for k, v in flags.items() if v is not None})
+def _effective_config(flags: dict) -> dict:
+    """A command's options: each flag or its variable as given, else its default."""
+    cfg = {key: DEFAULTS[key] if value is None else value for key, value in flags.items()}
     for key, low in _MINIMUM.items():
         if key in cfg and cfg[key] < low:
             raise click.UsageError(f"--{key.replace('_', '-')} must be at least {low}, got {cfg[key]}")
@@ -137,8 +101,6 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
 _OUT_DIR = click.Option(["--out-dir"], type=click.Path(file_okay=False),
                         help="Write outputs here instead of stdout.")
 _SIGNAL_OPTIONS = (
-    click.Option(["--config", "config_path"], type=click.Path(),
-                 help="JSON config file; flags override its values."),
     click.Option(["--target-len"], type=int, help=f"Subsample length (default {DEFAULT_TARGET_LEN})."),
     _OUT_DIR,
 )
@@ -150,6 +112,7 @@ _EXPERIMENT_PARAMS = (
     click.Option(["--seed"], type=int),
     click.Option(["--k"], type=int, help="CV fold count."),
     click.Option(["--jobs"], type=int),
+    click.Option(["--tol"], type=float, help="SMO stopping tolerance on the KKT gap."),
 )
 
 
@@ -169,9 +132,9 @@ def main() -> None:
 
 @main.command(params=[click.Argument(["inputs"], nargs=-1, required=True, type=click.Path()),
                      *_SIGNAL_OPTIONS])
-def entropy(inputs, config_path, out_dir, **flags) -> None:
+def entropy(inputs, out_dir, **flags) -> None:
     """Compute persistent entropy for each input WAV/CSV signal."""
-    cfg = _effective_config(config_path, flags)
+    cfg = _effective_config(flags)
     text = io.StringIO()
     rows = csv.writer(text, lineterminator="\n")  # quotes a path with a comma, quote or newline
     rows.writerow(["path", "samples", "subsampled_to", "bars", "entropy"])
@@ -191,9 +154,9 @@ def entropy(inputs, config_path, out_dir, **flags) -> None:
 
 @main.command(params=[click.Argument(["input_path"], metavar="INPUT", type=click.Path()),
                      *_SIGNAL_OPTIONS])
-def barcode(input_path, config_path, out_dir, **flags) -> None:
+def barcode(input_path, out_dir, **flags) -> None:
     """Compute the persistence barcode of one signal as CSV."""
-    cfg = _effective_config(config_path, flags)
+    cfg = _effective_config(flags)
     try:
         b = signal_barcode(_load_signal(input_path), cfg["target_len"])
     except EntropicError as exc:
@@ -207,7 +170,7 @@ def _load_matrix(source: str, cfg: dict) -> st.EntropyMatrix:
     if path.is_dir():
         records = ds.scan_ravdess_tree(path)
     elif path.suffix == ".csv" and path.exists():
-        with open(path, encoding="utf-8", errors="replace") as fh:  # the readers report bad UTF-8
+        with open(path, encoding="utf-8-sig", errors="replace") as fh:  # the readers report bad UTF-8
             first = fh.readline()
         if first.startswith("actor_id,sex,"):
             return ds.read_entropy_table(path)
@@ -234,9 +197,9 @@ def _experiment_config(cfg: dict, **fields) -> ds.ExperimentConfig:
     click.Option(["--degree"], type=int),
     click.Option(["--offset"], type=float),
 ])
-def experiment(exp_id, source, config_path, out_dir, **flags) -> None:
+def experiment(exp_id, source, out_dir, **flags) -> None:
     """Run experiment 1, 2 or 3 on a manifest, entropy table or corpus tree."""
-    cfg = _effective_config(config_path, flags, "tol")
+    cfg = _effective_config(flags)
     config = _experiment_config(cfg, C=cfg["C"], kernel=_kernel_from_config(cfg))
     result = ds.run_experiment(exp_id, _load_matrix(source, cfg), config)
     _write(out_dir, f"experiment{exp_id}.json", result.to_json() + "\n")
@@ -261,9 +224,9 @@ def stats(table, out_dir) -> None:
 
 
 @main.command(params=list(_EXPERIMENT_PARAMS))
-def kernels(exp_id, source, config_path, out_dir, **flags) -> None:
+def kernels(exp_id, source, out_dir, **flags) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    cfg = _effective_config(config_path, flags, "tol")
+    cfg = _effective_config(flags)
     config = _experiment_config(cfg)
     builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
     points = builder[exp_id](_load_matrix(source, cfg))

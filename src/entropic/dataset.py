@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import asdict, dataclass, field
@@ -35,7 +36,13 @@ _RAVDESS_NAME = re.compile(r"^(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\
 
 
 def _check_actor(actor_id: int, sex: str) -> None:
-    if not 1 <= actor_id <= N_ACTORS:
+    try:
+        number = operator.index(actor_id)
+    except TypeError:
+        number = None
+    if number is None or isinstance(actor_id, bool):  # a bool is an int, but not an actor id
+        raise DatasetError(f"actor_id must be an integer, got {actor_id!r}")
+    if not 1 <= number <= N_ACTORS:
         raise DatasetError(f"actor_id {actor_id} out of range 1..{N_ACTORS}")
     if sex not in ("male", "female"):
         raise DatasetError(f"unknown sex: {sex!r}")
@@ -116,7 +123,7 @@ def parse_manifest(path) -> list[RecordingMeta]:
     """Read a manifest CSV; a repeated coordinate is left to build_entropy_table."""
     records = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != MANIFEST_HEADER:
                 raise DatasetError(
@@ -443,7 +450,7 @@ def read_entropy_table(path) -> EntropyMatrix:
     row a distinct actor as a manifest would; an empty cell is NaN.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read entropy table {path}: {exc}")

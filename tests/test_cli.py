@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,13 +10,14 @@ import wave
 from pathlib import Path
 
 import numpy as np
+import click
 import pytest
 from click.testing import CliRunner
 
 import entropic
 from conftest import make_matrix
 from entropic import dataset as ds
-from entropic.cli import DEFAULTS, _config_value_ok, main
+from entropic.cli import DEFAULTS, main
 from entropic.dataset import (
     EMOTIONS,
     ExperimentConfig,
@@ -70,36 +72,27 @@ class TestEntropyCommand:
     def test_missing_args_exit_two(self, runner):
         assert runner.invoke(main, ["entropy"]).exit_code == 2
 
-    def test_config_precedence(self, runner, tmp_path):
+    def test_config_precedence(self, tmp_path):
+        # Defaults < ENTROPIC_<COMMAND>_<OPTION> < flags.
         p = tmp_path / "s.csv"
         p.write_text("".join(f"{v}\n" for v in np.random.default_rng(0).normal(size=50)))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target_len": 10}))
-        from_file = runner.invoke(main, ["entropy", str(p), "--config", str(cfg)])
-        assert from_file.output.strip().split("\n")[1].split(",")[2] == "10"
-        flag_wins = runner.invoke(
-            main, ["entropy", str(p), "--config", str(cfg), "--target-len", "20"]
-        )
+        runner = CliRunner(env={"ENTROPIC_ENTROPY_TARGET_LEN": "10"})
+        from_env = runner.invoke(main, ["entropy", str(p)])
+        assert from_env.output.strip().split("\n")[1].split(",")[2] == "10"
+        flag_wins = runner.invoke(main, ["entropy", str(p), "--target-len", "20"])
         assert flag_wins.output.strip().split("\n")[1].split(",")[2] == "20"
 
-    def test_unknown_config_key_exit_two(self, runner, sig_csv, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
-        assert runner.invoke(main, ["entropy", str(sig_csv), "--config", str(cfg)]).exit_code == 2
+    def test_unknown_config_key_exit_two(self, runner, sig_csv):
+        result = runner.invoke(main, ["entropy", str(sig_csv), "--bogus", "1"])
+        assert result.exit_code == 2, result.output
+        assert "No such option" in result.output and "--bogus" in result.output
 
     @pytest.mark.parametrize("value", ["abc", 3.5, True])
-    def test_wrong_config_type_exit_two(self, runner, sig_csv, tmp_path, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target_len": value}))
-        result = runner.invoke(main, ["entropy", str(sig_csv), "--config", str(cfg)])
-        assert result.exit_code == 2, result.output
-        assert "'target_len' has a value of the wrong type" in result.output
-
-    def test_config_types_checked_as_before(self):
-        values = [None, True, False, 0, 3, -1, 2**70, 3.5, 1.0, float("nan"), "abc", "", [], {}, [1]]
-        for key in DEFAULTS:
-            for value in values:
-                assert _config_value_ok(key, value) == reference_config_value_ok(key, value), (key, value)
+    def test_wrong_config_type_exit_two(self, runner, sig_csv, value):
+        for via in ("flag", "env"):
+            result = _invoke_with(runner, ["entropy", str(sig_csv)], "target_len", value, via)
+            assert result.exit_code == 2, result.output
+            assert f"Invalid value for '--target-len': '{value}' is not a valid integer" in result.output
 
     def test_env_var_names_the_command(self, sig_csv):
         def subsampled_to(env):
@@ -143,24 +136,6 @@ class TestEntropyCommand:
         assert (out / "entropy.csv").exists()
 
 
-_INT_KEYS = ("target_len", "seed", "k", "degree", "jobs")
-_NULLABLE_KEYS = ("kernel", "sigma")
-
-
-def reference_config_value_ok(key: str, value) -> bool:
-    """The --config type check with the key lists it had before it read the
-    types from DEFAULTS; it must accept and reject the same values."""
-    if value is None:
-        return key in _NULLABLE_KEYS
-    if isinstance(value, bool):
-        return False
-    if key == "kernel":
-        return isinstance(value, str)
-    if key in _INT_KEYS:
-        return isinstance(value, int)
-    return isinstance(value, (int, float))
-
-
 def test_defaults_come_from_the_library():
     library = ExperimentConfig()
     for key in ("target_len", "seed", "k", "C", "tol"):
@@ -182,11 +157,14 @@ def test_polynomial_flag_is_the_library_polynomial(runner, table_csv, tmp_path):
 @pytest.mark.parametrize("args", [
     ["experiment", "1", "TABLE", "--grid-search"],
     ["stats", "TABLE", "--config", "CFG"],
+    *([*command, "--config", "CFG"] for command in (["entropy", "SIGNAL"], ["barcode", "SIGNAL"],
+                                                    ["experiment", "2", "TABLE"], ["kernels", "2", "TABLE"])),
 ])
-def test_removed_options_are_usage_errors(runner, table_csv, tmp_path, args):
+def test_removed_options_are_usage_errors(runner, sig_csv, table_csv, tmp_path, monkeypatch, args):
+    fail_if_input_is_read(monkeypatch)
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{}")
-    args = [{"TABLE": str(table_csv), "CFG": str(cfg)}.get(a, a) for a in args]
+    args = [{"SIGNAL": str(sig_csv), "TABLE": str(table_csv), "CFG": str(cfg)}.get(a, a) for a in args]
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "No such option" in result.output
@@ -236,18 +214,15 @@ class TestExperimentCommand:
         result = runner.invoke(main, ["experiment", "1", str(tmp_path / "nope.xyz")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("config,flags", [
-        ('{"C": NaN}', []),
-        ('{"C": Infinity}', []),
-        (None, ["--C", "nan"]),
-        ('{"tol": NaN}', []),
-        (None, ["--kernel", "gaussian", "--sigma", "inf"]),
-    ])
-    def test_non_finite_parameter_is_an_error(self, runner, table_csv, tmp_path, config, flags):
+    @pytest.mark.parametrize("flags", [
+        ["--C", "inf"],
+        ["--C", "nan"],
+        ["--tol", "nan"],
+        ["--kernel", "gaussian", "--sigma", "inf"],
+    ], ids=["C_inf", "C_nan", "tol_nan", "sigma_inf"])
+    def test_non_finite_parameter_is_an_error(self, runner, table_csv, tmp_path, monkeypatch, flags):
+        fail_if_input_is_read(monkeypatch)
         args = ["experiment", "2", str(table_csv), "--out-dir", str(tmp_path / "out")] + flags
-        if config is not None:
-            (tmp_path / "cfg.json").write_text(config)
-            args += ["--config", str(tmp_path / "cfg.json")]
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert "error:" in result.output and "finite" in result.output
@@ -342,14 +317,13 @@ class TestKernelsCommand:
                                  "unconverged": cv.unconverged} for cv in want.cells]
         assert [row[2] for row in doc["table"]] == [cv.mean_accuracy for cv in want.cells]
 
-    def test_config_echoes_tol(self, runner, table_csv, tmp_path):
-        (tmp_path / "cfg.json").write_text(json.dumps({"tol": 0.01}))
-        out = tmp_path / "out"
-        result = runner.invoke(main, ["kernels", "2", str(table_csv), "--out-dir", str(out), "--k", "3",
-                                      "--config", str(tmp_path / "cfg.json")])
-        assert result.exit_code == 0, result.output
-        doc = json.loads((out / "kernels.json").read_text())
-        assert doc["config"] == {"seed": 0, "k": 3, "target_len": 10000, "tol": 0.01}
+    def test_config_echoes_tol(self, runner, table_csv):
+        args = ["kernels", "2", str(table_csv), "--k", "3"]
+        for result in (runner.invoke(main, args + ["--tol", "0.01"]),
+                       CliRunner(env={"ENTROPIC_KERNELS_TOL": "0.01"}).invoke(main, args)):
+            assert result.exit_code == 0, result.output
+            doc = json.loads(result.output)
+            assert doc["config"] == {"seed": 0, "k": 3, "target_len": 10000, "tol": 0.01}
 
 
 def write_wav_tree(root, seed=0):
@@ -443,26 +417,22 @@ finally:
     assert proc.stderr.splitlines()[-1] == "loaded:"
 
 
-def _invoke_with(runner, args, key, value, via, tmp_path):
-    """Run a command with one option given as a flag, a --config key or an
+def _invoke_with(runner, args, key, value, via):
+    """Run a command with one option given as a flag or an
     ENTROPIC_<COMMAND>_<OPTION> environment variable."""
     if via == "flag":
         return runner.invoke(main, args + [f"--{key.replace('_', '-')}", str(value)])
-    if via == "config":
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({key: value}))
-        return runner.invoke(main, args + ["--config", str(cfg)])
     env = {f"ENTROPIC_{args[0].upper()}_{key.upper()}": str(value)}
     return CliRunner(env=env).invoke(main, args)
 
 
-@pytest.mark.parametrize("via", ["flag", "config", "env"])
+@pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("command", [["entropy"], ["barcode"], ["experiment", "2"], ["kernels", "2"]])
 @pytest.mark.parametrize("value", [1, 0, -3])
 def test_target_len_below_two_is_a_usage_error(runner, tmp_path, via, command, value):
     wavs = write_wav_tree(tmp_path / "corpus")
     inputs = [str(wavs[0])] if command[0] in ("entropy", "barcode") else [str(tmp_path / "corpus")]
-    result = _invoke_with(runner, command + inputs, "target_len", value, via, tmp_path)
+    result = _invoke_with(runner, command + inputs, "target_len", value, via)
     assert result.exit_code == 2, result.output
     assert result.output.count(f"--target-len must be at least 2, got {value}") == 1
     assert "error:" not in result.output and "warning:" not in result.output  # no file was read
@@ -477,7 +447,7 @@ def fail_if_input_is_read(monkeypatch):
 
 # A negative seed, a CV fold count below 2 and fewer than one job are refused before
 # any input is read.
-@pytest.mark.parametrize("via", ["flag", "config", "env"])
+@pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("command", [
     (["experiment", "2"], "seed", -1, 0),
     (["kernels", "2"], "seed", -1, 0),
@@ -489,7 +459,7 @@ def fail_if_input_is_read(monkeypatch):
 def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch, via, command):
     args, key, value, low = command
     fail_if_input_is_read(monkeypatch)
-    result = _invoke_with(runner, args + [str(table_csv)], key, value, via, tmp_path)
+    result = _invoke_with(runner, args + [str(table_csv)], key, value, via)
     assert result.exit_code == 2, result.output
     assert f"--{key} must be at least {low}, got {value}" in result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
@@ -520,20 +490,17 @@ def test_non_finite_sigma_is_found_before_the_input_is_read(runner, table_csv, m
 
 
 # C and tol are checked when the run's ExperimentConfig is built, before any input is read.
-@pytest.mark.parametrize("args,config,message", [
-    (["experiment", "2", "--C", "0"], None, "C must be positive and finite, got 0.0"),
-    (["experiment", "2", "--C", "-1"], None, "C must be positive and finite, got -1.0"),
-    (["experiment", "2", "--C", "nan"], None, "C must be positive and finite, got nan"),
-    (["experiment", "2"], {"tol": 0}, "tol must be positive and finite, got 0"),
-    (["kernels", "2"], {"tol": 0}, "tol must be positive and finite, got 0"),
+@pytest.mark.parametrize("args,message", [
+    (["experiment", "2", "--C", "0"], "C must be positive and finite, got 0.0"),
+    (["experiment", "2", "--C", "-1"], "C must be positive and finite, got -1.0"),
+    (["experiment", "2", "--C", "nan"], "C must be positive and finite, got nan"),
+    (["experiment", "2", "--tol", "0"], "tol must be positive and finite, got 0.0"),
+    (["kernels", "2", "--tol", "0"], "tol must be positive and finite, got 0.0"),
 ], ids=["C_zero", "C_negative", "C_nan", "tol_zero", "kernels_tol_zero"])
 def test_bad_C_or_tol_is_found_before_the_input_is_read(runner, table_csv, tmp_path, monkeypatch,
-                                                        args, config, message):
+                                                        args, message):
     fail_if_input_is_read(monkeypatch)
     args = args[:2] + [str(table_csv), "--out-dir", str(tmp_path / "out")] + args[2:]
-    if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        args += ["--config", str(tmp_path / "cfg.json")]
     result = runner.invoke(main, args)
     assert result.exit_code == 1, result.output
     assert result.output == f"error: {message}\n"
@@ -541,8 +508,7 @@ def test_bad_C_or_tol_is_found_before_the_input_is_read(runner, table_csv, tmp_p
     assert not (tmp_path / "out").exists()
 
 
-# A command's --config keys are its own options, and tol for experiment and
-# kernels; the values here would all be valid for experiment.
+# A command takes only its own options; the values here would all be valid for experiment.
 _OTHER_COMMANDS_KEYS = {"seed": 1, "k": 3, "jobs": 2, "C": 1.0, "tol": 0.01, "kernel": "gaussian",
                         "sigma": 0.5, "degree": 3, "offset": 0.0}
 
@@ -551,39 +517,33 @@ _OTHER_COMMANDS_KEYS = {"seed": 1, "k": 3, "jobs": 2, "C": 1.0, "tol": 0.01, "ke
     *(("kernels 2", key) for key in ("C", "kernel", "sigma", "degree", "offset")),
     *((command, key) for command in ("entropy", "barcode") for key in ("seed", "k", "jobs", "C", "tol")),
 ])
-def test_config_key_of_another_command_is_a_usage_error(runner, table_csv, sig_csv, tmp_path,
-                                                        monkeypatch, command, key):
+def test_config_key_of_another_command_is_a_usage_error(runner, table_csv, sig_csv, monkeypatch,
+                                                        command, key):
     fail_if_input_is_read(monkeypatch)
     source = table_csv if command.startswith("kernels") else sig_csv
-    (tmp_path / "cfg.json").write_text(json.dumps({key: _OTHER_COMMANDS_KEYS[key]}))
-    result = runner.invoke(main, command.split() + [str(source), "--config", str(tmp_path / "cfg.json")])
+    result = runner.invoke(main, command.split() + [str(source), f"--{key}", str(_OTHER_COMMANDS_KEYS[key])])
     assert result.exit_code == 2, result.output
-    assert f"unknown config keys: [{key!r}]" in result.output
+    assert "No such option" in result.output and f"--{key}" in result.output
 
 
-def test_experiment_takes_every_config_key(runner, table_csv, tmp_path):
+def test_experiment_takes_every_config_key(table_csv):
     config = {**_OTHER_COMMANDS_KEYS, "target_len": 10000, "degree": 2}
     assert config.keys() == DEFAULTS.keys()
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    out = tmp_path / "out"
-    result = runner.invoke(main, ["experiment", "2", str(table_csv), "--out-dir", str(out),
-                                  "--config", str(tmp_path / "cfg.json")])
+    assert {p.name for p in main.commands["experiment"].params if isinstance(p, click.Option)} == {
+        *DEFAULTS, "out_dir"}
+    env = {f"ENTROPIC_EXPERIMENT_{key.upper()}": str(value) for key, value in config.items()}
+    result = CliRunner(env=env).invoke(main, ["experiment", "2", str(table_csv)])
     assert result.exit_code == 0, result.output
-    doc = json.loads((out / "experiment2.json").read_text())
+    doc = json.loads(result.output)
     assert doc["config"]["kernel"] == "gaussian(sigma=0.5)"
     assert (doc["config"]["C"], doc["config"]["k"], doc["config"]["tol"]) == (1.0, 3, 0.01)
+    assert (doc["config"]["seed"], doc["config"]["target_len"]) == (1, 10000)
 
 
-@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("name", ["rbf", "poly", "sigmoid"])
-def test_kernel_name_outside_the_families_is_a_usage_error(runner, table_csv, tmp_path, via, name):
-    # --config once also took the aliases rbf and poly; it now takes the --kernel names only.
-    args = ["experiment", "2", str(table_csv), "--sigma", "0.5"]
-    if via == "flag":
-        result = runner.invoke(main, args + ["--kernel", name])
-    else:
-        (tmp_path / "cfg.json").write_text(json.dumps({"kernel": name}))
-        result = runner.invoke(main, args + ["--config", str(tmp_path / "cfg.json")])
+def test_kernel_name_outside_the_families_is_a_usage_error(runner, table_csv, via, name):
+    result = _invoke_with(runner, ["experiment", "2", str(table_csv), "--sigma", "0.5"], "kernel", name, via)
     assert result.exit_code == 2, result.output
     assert "error:" not in result.output
 
@@ -691,3 +651,82 @@ def test_out_dir_that_cannot_be_written_is_an_error(runner, sig_csv, table_csv, 
     assert [line for line in lines if line.startswith("error:")] == lines[-1:]
     assert lines[-1].startswith(f"error: cannot write {out}{os.sep}") and "Not a directory" in lines[-1]
     assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+# One valid value other than the default for each option, and the flags it needs to take effect.
+_OPTION_VALUES = {
+    "target_len": ("3", []), "seed": ("1", []), "k": ("2", []), "jobs": ("2", []), "tol": ("0.01", []),
+    "kernel": ("linear", []), "C": ("10", []), "sigma": ("0.5", ["--kernel", "gaussian"]),
+    "degree": ("3", ["--kernel", "polynomial"]), "offset": ("0.5", ["--kernel", "polynomial"]),
+    "out_dir": ("OUT", []),
+}
+_SOURCES = {"entropy": ["SIGNAL"], "barcode": ["SIGNAL"], "experiment": ["2", "TABLE"],
+            "kernels": ["2", "TABLE"]}
+
+
+@pytest.mark.parametrize("command,option", [
+    (command, param.name) for command in _SOURCES
+    for param in main.commands[command].params if isinstance(param, click.Option)])
+def test_flag_and_env_variable_give_the_same_output(sig_csv, table_csv, tmp_path, command, option):
+    value, needs = _OPTION_VALUES[option]
+    out = tmp_path / "out"
+    value = str(out) if value == "OUT" else value
+    sources = {"SIGNAL": str(sig_csv), "TABLE": str(table_csv)}
+    args = [command] + [sources.get(a, a) for a in _SOURCES[command]] + needs
+    if command == "kernels" and option != "k":
+        args += ["--k", "2"]  # two folds keep the grid search short
+
+    def run(args, env=None):
+        result = CliRunner(env=env).invoke(main, args)
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        return result.exit_code, result.output, files
+
+    flag = run(args + [f"--{option.replace('_', '-')}", value])
+    assert flag[0] == 0, flag
+    assert run(args, {f"ENTROPIC_{command.upper()}_{option.upper()}": value}) == flag
+    if option != "jobs":  # no output shows how many processes read the input
+        assert run(args) != flag
+
+
+def test_readme_lists_every_option():
+    """The backticked --options of the README's CLI section are the five commands' options.
+
+    So a flag added, renamed or removed without its README line fails; an
+    option that is gone is named in plain text, outside backticks."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    listed = {option for span in spans for option in re.findall(r"--[A-Za-z][\w-]*", span)}
+    assert len(main.commands) == 5
+    options = {opt for command in main.commands.values() for param in command.params
+               if isinstance(param, click.Option) for opt in param.opts}
+    assert listed == options
+
+
+BOM = b"\xef\xbb\xbf"  # as a spreadsheet's "CSV UTF-8" export starts a file
+
+
+@pytest.mark.parametrize("command", [["experiment", "3"], ["kernels", "2", "--k", "3"], ["stats"]],
+                         ids=["experiment", "kernels", "stats"])
+def test_table_with_a_byte_order_mark_reads_as_without(runner, table_csv, command):
+    marked = table_csv.with_name("marked.csv")
+    marked.write_bytes(BOM + table_csv.read_bytes())
+    plain = runner.invoke(main, command[:2] + [str(table_csv)] + command[2:])
+    assert plain.exit_code == 0, plain.output
+    result = runner.invoke(main, command[:2] + [str(marked)] + command[2:])
+    assert (result.exit_code, result.output) == (0, plain.output)
+
+
+def test_manifest_with_a_byte_order_mark_reads_as_without(runner, tmp_path):
+    write_full_wav_tree(tmp_path / "corpus")
+    records = ds.scan_ravdess_tree(tmp_path / "corpus")
+    rows = [ds.MANIFEST_HEADER] + [[r.path, r.actor_id, r.sex, r.emotion, r.intensity, r.statement,
+                                    r.repetition] for r in records]
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
+    (tmp_path / "plain.csv").write_bytes(text)
+    (tmp_path / "marked.csv").write_bytes(BOM + text)
+    plain = runner.invoke(main, ["experiment", "2", str(tmp_path / "plain.csv")])
+    assert plain.exit_code == 0, plain.output
+    result = runner.invoke(main, ["experiment", "2", str(tmp_path / "marked.csv")])
+    assert (result.exit_code, result.output) == (0, plain.output)

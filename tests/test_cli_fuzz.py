@@ -1,24 +1,25 @@
 """Malformed input of every kind reaches the user as an exit code, never a traceback.
 
 Each test drives `main` through CliRunner with one kind of generated input:
-manifests, entropy tables, --config values, CSV signals, WAV files whose
-header is mutated or cut short, and an --out-dir below a regular file. The exit code must be 0, 1 or 2, and the only
+manifests, entropy tables, ENTROPIC_<COMMAND>_<OPTION> environment variables,
+CSV signals, WAV files whose header is mutated or cut short, and an --out-dir
+below a regular file. The exit code must be 0, 1 or 2, and the only
 exception that may leave a command is SystemExit. The examples are
 derandomized, so a run is repeatable, and bounded to keep the suite fast.
 """
 
-import json
 import struct
 import tempfile
 from pathlib import Path
 
+import click
 import numpy as np
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_matrix
-from entropic.cli import DEFAULTS, main
+from entropic.cli import main
 from entropic.dataset import MANIFEST_HEADER, entropy_table_csv
 
 fuzz = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -32,14 +33,14 @@ CELL = st.one_of(TEXT, st.sampled_from(["", "1", "24", "25", "0", "-1", "male", 
 RAW = st.one_of(st.binary(max_size=64), TEXT.map(str.encode))
 
 
-def run(files: dict, args) -> None:
+def run(files: dict, args, env=None) -> None:
     """Write files into a fresh directory and run the command on them; an
     argument @name stands for the file of that name."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in files.items():
             (Path(tmp) / name).write_bytes(data)
         argv = [str(Path(tmp) / a[1:]) if a.startswith("@") else a for a in args]
-        result = CliRunner().invoke(main, argv)
+        result = CliRunner(env=env).invoke(main, argv)
     assert result.exit_code in (0, 1, 2), (argv, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, result.output, result.exc_info)
@@ -112,28 +113,39 @@ def test_malformed_entropy_table(table, command):
     run({"t.csv": table}, command + ["@t.csv"])
 
 
-CONFIG_VALUE = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 30), st.integers(), st.floats(), TEXT,
-    st.sampled_from([2**70, 10**400, -10**400]),  # 10**400 does not fit a float
-    st.sampled_from(["linear", "polynomial", "gaussian"]),
-    st.lists(st.integers(), max_size=2), st.dictionaries(TEXT, st.integers(), max_size=1),
+# Any text an environment can hold (not NUL), and values at the edges of the options' types.
+ENV_VALUE = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=12),
+    st.sampled_from(["1e400", "-1e400", "nan", "inf", "0", "-1", "True", "2", "0.5",
+                     "linear", "polynomial", "gaussian"]),
 )
+ENV_COMMANDS = [["entropy", "@s.csv"], ["barcode", "@s.csv"], ["experiment", "3", "@t.csv"],
+                ["experiment", "2", "@t.csv"], ["kernels", "3", "@t.csv"]]
+
+
+@st.composite
+def variables(draw) -> tuple[list[str], dict]:
+    """A command and some of its ENTROPIC_<COMMAND>_<OPTION> variables; --out-dir is
+    left out, because it names where to write."""
+    command = draw(st.sampled_from(ENV_COMMANDS))
+    options = [p.name for p in main.commands[command[0]].params
+               if isinstance(p, click.Option) and p.name != "out_dir"]
+    values = draw(st.dictionaries(st.sampled_from(options), ENV_VALUE, max_size=4))
+    return command, {f"ENTROPIC_{command[0].upper()}_{key.upper()}": v for key, v in values.items()}
 
 
 @fuzz
-@given(config=st.one_of(st.dictionaries(st.sampled_from(sorted(DEFAULTS)), CONFIG_VALUE, max_size=4), RAW),
-       command=st.sampled_from([["entropy", "@s.csv"], ["barcode", "@s.csv"],
-                                ["experiment", "3", "@t.csv"], ["experiment", "2", "@t.csv"]]))
-@example(config=b"\xff", command=["entropy", "@s.csv"])
-@example(config={"C": 10**400}, command=["experiment", "3", "@t.csv"])
-@example(config={"kernel": "gaussian", "sigma": 10**400}, command=["experiment", "3", "@t.csv"])
-@example(config={"kernel": "polynomial", "offset": -10**400}, command=["experiment", "3", "@t.csv"])
-def test_config_values(config, command):
-    """A config is a JSON object of any keys and values, or any bytes."""
+@given(variables=variables())
+@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_C": "1e400"}))
+@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "gaussian",
+                                                    "ENTROPIC_EXPERIMENT_SIGMA": "1e400"}))
+@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "polynomial",
+                                                    "ENTROPIC_EXPERIMENT_OFFSET": "-1e400"}))
+def test_config_values(variables):
+    """A command's settings come from its variables, whatever text they hold."""
+    command, env = variables
     table = "\n".join(",".join(row) for row in table_rows(3)).encode()
-    config_text = config if isinstance(config, bytes) else json.dumps(config).encode()
-    run({"c.json": config_text, "s.csv": signal_bytes(), "t.csv": table},
-        command + ["--config", "@c.json"])
+    run({"s.csv": signal_bytes(), "t.csv": table}, command, env)
 
 
 @fuzz

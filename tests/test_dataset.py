@@ -55,6 +55,19 @@ class TestRecordingMeta:
         with pytest.raises(DatasetError):
             RecordingMeta("x.wav", 25, "male", "happy", "normal", 1, 1)
 
+    @pytest.mark.parametrize("actor_id,message", [
+        (1.5, "actor_id must be an integer, got 1.5"),
+        (True, "actor_id must be an integer, got True"),
+        ([1], "actor_id must be an integer, got [1]"),
+        (25, "actor_id 25 out of range 1..24"),
+    ], ids=["fraction", "bool", "list", "above_24"])
+    def test_actor_id_is_an_integer_in_range(self, actor_id, message):
+        # A row written with actor 1.5 or True is one that read_entropy_table refuses.
+        with pytest.raises(DatasetError) as info:
+            RecordingMeta("x.wav", actor_id, "male", "happy", "normal", 1, 1)
+        assert str(info.value) == message
+        assert RecordingMeta("x.wav", np.int64(24), "male", "happy", "normal", 1, 1).actor_id == 24
+
     def test_unknown_emotion(self):
         with pytest.raises(DatasetError):
             RecordingMeta("x.wav", 1, "male", "bored", "normal", 1, 1)
