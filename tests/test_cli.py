@@ -214,16 +214,17 @@ class TestExperimentCommand:
         result = runner.invoke(main, ["experiment", "1", str(tmp_path / "nope.xyz")])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("flags", [
-        ["--C", "inf"],
-        ["--C", "nan"],
-        ["--tol", "nan"],
-        ["--kernel", "gaussian", "--sigma", "inf"],
-    ], ids=["C_inf", "C_nan", "tol_nan", "sigma_inf"])
-    def test_non_finite_parameter_is_an_error(self, runner, table_csv, tmp_path, monkeypatch, flags):
+    @pytest.mark.parametrize("flags,env", [
+        (["--C", "inf"], {}),
+        (["--C", "nan"], {}),
+        ([], {"ENTROPIC_EXPERIMENT_C": "nan"}),
+        (["--tol", "nan"], {}),
+        (["--kernel", "gaussian", "--sigma", "inf"], {}),
+    ], ids=["C_inf", "C_nan", "C_nan_env", "tol_nan", "sigma_inf"])
+    def test_non_finite_parameter_is_an_error(self, table_csv, tmp_path, monkeypatch, flags, env):
         fail_if_input_is_read(monkeypatch)
         args = ["experiment", "2", str(table_csv), "--out-dir", str(tmp_path / "out")] + flags
-        result = runner.invoke(main, args)
+        result = CliRunner(env=env).invoke(main, args)
         assert result.exit_code == 1, result.output
         assert "error:" in result.output and "finite" in result.output
         assert "Traceback" not in result.output
