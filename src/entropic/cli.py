@@ -5,14 +5,17 @@ kernel/C grid search for each of the three experiments; `experiment N` runs
 one experiment with one kernel and C. Option precedence is built-in defaults
 < ENTROPIC_<COMMAND>_<OPTION> environment variables < explicit flags. The
 defaults are those of ExperimentConfig and KernelSpec (polynomial: degree 2,
-offset 1). A variable sets a flag of one subcommand, e.g.
-ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy --target-len 3` (click
-auto-envvar), and click checks it as it checks the flag; a bare
+offset 1), and `--help` shows them. A variable sets a flag of one subcommand,
+e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy --target-len 3` (click
+auto-envvar), and click checks it as it checks the flag, minimums included
+("Invalid value for '--k': 1 is not in the range x>=2."); a bare
 ENTROPIC_TARGET_LEN is ignored. The effective configuration is echoed into
-every primary output. A table or manifest may start with a UTF-8 BOM.
+every primary output. A signal, table or manifest may start with a UTF-8 BOM.
 
 Exit codes: 0 success, 1 partial per-file failure or an error of the run
-(one `error:` line), 2 invalid invocation.
+(one `error:` line), 2 invalid invocation. A file that fails, say one whose
+bar lengths overflow float64, gets one `error:` (or, in a corpus, `warning:`)
+line that names it once.
 """
 
 from __future__ import annotations
@@ -36,46 +39,26 @@ from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 
 _EXPERIMENT = ds.ExperimentConfig()
 _POLYNOMIAL = svm.KernelSpec("polynomial")
-DEFAULTS = {
-    **{key: getattr(_EXPERIMENT, key) for key in ("target_len", "seed", "k", "C", "tol")},
-    "kernel": None,  # a kernel name; None: the experiment's default kernel
-    "sigma": None,  # a gaussian --kernel needs an explicit --sigma
-    "degree": _POLYNOMIAL.degree,
-    "offset": _POLYNOMIAL.offset,
-    "jobs": 1,
-}
-# The smallest valid value of an option, checked once before any input is read.
-_MINIMUM = {"target_len": 2, "seed": 0, "k": 2, "jobs": 1}
 
 
-def _effective_config(flags: dict) -> dict:
-    """A command's options: each flag or its variable as given, else its default."""
-    cfg = {key: DEFAULTS[key] if value is None else value for key, value in flags.items()}
-    for key, low in _MINIMUM.items():
-        if key in cfg and cfg[key] < low:
-            raise click.UsageError(f"--{key.replace('_', '-')} must be at least {low}, got {cfg[key]}")
-    return cfg
-
-
-def _kernel_from_config(cfg: dict) -> svm.KernelSpec | None:
+def _kernel_from_config(kernel: str | None, sigma: float | None, degree: int, offset: float):
     """The configured kernel; None for the experiment's default.
 
     A name or parameter that KernelSpec refuses is a usage error, except a
     non-finite sigma: that stays an error of the run, as a non-finite C is.
     """
-    name, sigma = cfg["kernel"], cfg["sigma"]
-    if name is None:
+    if kernel is None:
         return None
-    if name == "gaussian" and sigma is None:
+    if kernel == "gaussian" and sigma is None:
         raise click.UsageError("gaussian kernel requires --sigma")
     try:
-        if name == "polynomial":
-            return svm.KernelSpec(name, degree=int(cfg["degree"]), offset=float(cfg["offset"]))
-        if name == "gaussian":
-            return svm.KernelSpec(name, sigma=float(sigma))
-        return svm.KernelSpec(name)
+        if kernel == "polynomial":
+            return svm.KernelSpec(kernel, degree=degree, offset=offset)
+        if kernel == "gaussian":
+            return svm.KernelSpec(kernel, sigma=sigma)
+        return svm.KernelSpec(kernel)
     except TrainingError as exc:
-        if name == "gaussian" and not math.isfinite(sigma):
+        if kernel == "gaussian" and not math.isfinite(sigma):
             raise
         raise click.UsageError(str(exc))
 
@@ -100,19 +83,25 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
 
 _OUT_DIR = click.Option(["--out-dir"], type=click.Path(file_okay=False),
                         help="Write outputs here instead of stdout.")
-_SIGNAL_OPTIONS = (
-    click.Option(["--target-len"], type=int, help=f"Subsample length (default {DEFAULT_TARGET_LEN})."),
-    _OUT_DIR,
-)
+
+
+def _target_len(default: int) -> click.Option:
+    return click.Option(["--target-len"], type=click.IntRange(min=2), default=default,
+                        help="Subsample length.")
+
+
+_SIGNAL_OPTIONS = (_target_len(DEFAULT_TARGET_LEN), _OUT_DIR)
 # The arguments and options that `experiment` and `kernels` share.
 _EXPERIMENT_PARAMS = (
     click.Argument(["exp_id"], type=click.IntRange(1, 3)),
     click.Argument(["source"], type=click.Path()),
-    *_SIGNAL_OPTIONS,
-    click.Option(["--seed"], type=int),
-    click.Option(["--k"], type=int, help="CV fold count."),
-    click.Option(["--jobs"], type=int),
-    click.Option(["--tol"], type=float, help="SMO stopping tolerance on the KKT gap."),
+    _target_len(_EXPERIMENT.target_len),
+    _OUT_DIR,
+    click.Option(["--seed"], type=click.IntRange(min=0), default=_EXPERIMENT.seed),
+    click.Option(["--k"], type=click.IntRange(min=2), default=_EXPERIMENT.k, help="CV fold count."),
+    click.Option(["--jobs"], type=click.IntRange(min=1), default=1),
+    click.Option(["--tol"], type=float, default=_EXPERIMENT.tol,
+                 help="SMO stopping tolerance on the KKT gap."),
 )
 
 
@@ -125,16 +114,15 @@ class _Main(click.Group):
             sys.exit(1)
 
 
-@click.group(cls=_Main, context_settings={"auto_envvar_prefix": "ENTROPIC"})
+@click.group(cls=_Main, context_settings={"auto_envvar_prefix": "ENTROPIC", "show_default": True})
 def main() -> None:
     """Persistent-entropy features and SVM classification for 1-D signals."""
 
 
 @main.command(params=[click.Argument(["inputs"], nargs=-1, required=True, type=click.Path()),
                      *_SIGNAL_OPTIONS])
-def entropy(inputs, out_dir, **flags) -> None:
+def entropy(inputs, target_len, out_dir) -> None:
     """Compute persistent entropy for each input WAV/CSV signal."""
-    cfg = _effective_config(flags)
     text = io.StringIO()
     rows = csv.writer(text, lineterminator="\n")  # quotes a path with a comma, quote or newline
     rows.writerow(["path", "samples", "subsampled_to", "bars", "entropy"])
@@ -142,10 +130,10 @@ def entropy(inputs, out_dir, **flags) -> None:
     for path in inputs:
         try:
             s = _load_signal(path)
-            b = signal_barcode(s, cfg["target_len"])
-            rows.writerow([path, len(s), min(cfg["target_len"], len(s)), len(b), persistent_entropy(b)])
+            b = signal_barcode(s, target_len)
+            rows.writerow([path, len(s), min(target_len, len(s)), len(b), persistent_entropy(b)])
         except EntropicError as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
+            click.echo(f"error: {ds.file_error(path, exc)}", err=True)
             failed = True
     _write(out_dir, "entropy.csv", text.getvalue())
     if failed:
@@ -154,18 +142,17 @@ def entropy(inputs, out_dir, **flags) -> None:
 
 @main.command(params=[click.Argument(["input_path"], metavar="INPUT", type=click.Path()),
                      *_SIGNAL_OPTIONS])
-def barcode(input_path, out_dir, **flags) -> None:
+def barcode(input_path, target_len, out_dir) -> None:
     """Compute the persistence barcode of one signal as CSV."""
-    cfg = _effective_config(flags)
     try:
-        b = signal_barcode(_load_signal(input_path), cfg["target_len"])
+        b = signal_barcode(_load_signal(input_path), target_len)
     except EntropicError as exc:
-        click.echo(f"error: {input_path}: {exc}", err=True)
+        click.echo(f"error: {ds.file_error(input_path, exc)}", err=True)
         sys.exit(1)
     _write(out_dir, "barcode.csv", barcode_to_csv(b))
 
 
-def _load_matrix(source: str, cfg: dict) -> st.EntropyMatrix:
+def _load_matrix(source: str, target_len: int, jobs: int) -> st.EntropyMatrix:
     path = Path(source)
     if path.is_dir():
         records = ds.scan_ravdess_tree(path)
@@ -177,31 +164,28 @@ def _load_matrix(source: str, cfg: dict) -> st.EntropyMatrix:
         records = ds.parse_manifest(path)
     else:
         raise click.UsageError(f"manifest, entropy table or corpus directory expected: {source}")
-    result = ds.build_entropy_table(records, target_len=cfg["target_len"], jobs=cfg["jobs"])
-    for p, msg in result.failures:
-        click.echo(f"warning: {p}: {msg}", err=True)
+    result = ds.build_entropy_table(records, target_len=target_len, jobs=jobs)
+    for _, msg in result.failures:  # each names its file
+        click.echo(f"warning: {msg}", err=True)
     return result.matrix
-
-
-def _experiment_config(cfg: dict, **fields) -> ds.ExperimentConfig:
-    # Built before any input is read, so that a bad parameter costs no decoding.
-    return ds.ExperimentConfig(seed=cfg["seed"], k=cfg["k"], tol=cfg["tol"],
-                               target_len=cfg["target_len"], **fields)
 
 
 @main.command(params=[
     *_EXPERIMENT_PARAMS,
-    click.Option(["--kernel"], type=click.Choice(svm.KERNEL_FAMILIES)),
-    click.Option(["--C", "C"], type=float),
-    click.Option(["--sigma"], type=float),
-    click.Option(["--degree"], type=int),
-    click.Option(["--offset"], type=float),
+    click.Option(["--kernel"], type=click.Choice(svm.KERNEL_FAMILIES),
+                 help="Default: the experiment's own kernel."),
+    click.Option(["--C", "C"], type=float, default=_EXPERIMENT.C),
+    click.Option(["--sigma"], type=float, help="Required by --kernel gaussian."),
+    click.Option(["--degree"], type=int, default=_POLYNOMIAL.degree),
+    click.Option(["--offset"], type=float, default=_POLYNOMIAL.offset),
 ])
-def experiment(exp_id, source, out_dir, **flags) -> None:
+def experiment(exp_id, source, target_len, out_dir, seed, k, jobs, tol, kernel, C, sigma, degree,
+               offset) -> None:
     """Run experiment 1, 2 or 3 on a manifest, entropy table or corpus tree."""
-    cfg = _effective_config(flags)
-    config = _experiment_config(cfg, C=cfg["C"], kernel=_kernel_from_config(cfg))
-    result = ds.run_experiment(exp_id, _load_matrix(source, cfg), config)
+    # Built before any input is read, so that a bad parameter costs no decoding.
+    config = ds.ExperimentConfig(seed=seed, k=k, C=C, tol=tol, target_len=target_len,
+                                 kernel=_kernel_from_config(kernel, sigma, degree, offset))
+    result = ds.run_experiment(exp_id, _load_matrix(source, target_len, jobs), config)
     _write(out_dir, f"experiment{exp_id}.json", result.to_json() + "\n")
     if exp_id == 3:
         _write(out_dir, "experiment3_pairwise.csv", ds.pairwise_table_csv(result.pairwise))
@@ -224,12 +208,11 @@ def stats(table, out_dir) -> None:
 
 
 @main.command(params=list(_EXPERIMENT_PARAMS))
-def kernels(exp_id, source, out_dir, **flags) -> None:
+def kernels(exp_id, source, target_len, out_dir, seed, k, jobs, tol) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    cfg = _effective_config(flags)
-    config = _experiment_config(cfg)
+    config = ds.ExperimentConfig(seed=seed, k=k, tol=tol, target_len=target_len)  # checks tol
     builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
-    points = builder[exp_id](_load_matrix(source, cfg))
+    points = builder[exp_id](_load_matrix(source, target_len, jobs))
     result = svm.select_best_kernel(points, tol=config.tol, k=config.k, seed=config.seed)
     doc = {
         "experiment": exp_id,

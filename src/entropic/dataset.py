@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import svm
-from .errors import DatasetError
+from .errors import DatasetError, SignalError
 from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 from .persistence import signal_entropy
 from .stats import ActorInfo, AudioInfo, EntropyMatrix
@@ -153,13 +153,20 @@ def scan_ravdess_tree(root) -> list[RecordingMeta]:
     return records
 
 
+def file_error(path: str, exc: Exception) -> str:
+    """The message of a failure on one input file, naming its path once.
+
+    A SignalError comes from a loader (at target lengths >= 2), which names it."""
+    return str(exc) if isinstance(exc, SignalError) else f"{path}: {exc}"
+
+
 def _entropy_of_file(path: str, target_len: int) -> tuple[bool, float | str]:
     """(True, entropy) for one recording, or (False, the reason it failed)."""
     try:
         signal = load_csv_signal(path) if path.endswith(".csv") else load_wav(path, target_len)
         return True, signal_entropy(signal, target_len)
     except Exception as exc:  # one bad file must not stop the run
-        return False, str(exc)
+        return False, file_error(path, exc)
 
 
 def _keep_freed_heap() -> None:

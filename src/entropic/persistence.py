@@ -191,18 +191,26 @@ def persistent_entropy(b: Barcode) -> float:
     """Shannon entropy (nats) of the normalized bar lengths.
 
     An infinite death is replaced by f_max + 1 before measuring lengths;
-    zero-length bars contribute nothing (0*ln 0 := 0). Returns 0 for a
-    single-bar barcode.
+    zero-length bars, and bars too short to register against the total,
+    contribute nothing (0*ln 0 := 0). Returns 0 for a single-bar barcode,
+    whatever its values. A total length that overflows float64, as the bars
+    of a signal spanning -1e308 to 1e308 have, raises BarcodeError.
     """
     if len(b) == 0:
         raise BarcodeError("empty barcode")
-    lengths = np.where(b.deaths == INFINITE, b.f_max + 1.0, b.deaths) - b.births
-    lengths = lengths[lengths > 0.0]
-    total = lengths.sum()
+    if len(b) == 1:
+        return 0.0
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+        lengths = np.where(b.deaths == INFINITE, b.f_max + 1.0, b.deaths) - b.births
+        lengths = lengths[lengths > 0.0]
+        total = lengths.sum()
+    if not np.isfinite(total):
+        raise BarcodeError("total bar length overflows float64")
     if total <= 0.0:
         raise BarcodeError("all bar lengths are zero")
     p = lengths / total
-    return float(-(p * np.log(p)).sum()) + 0.0  # normalize -0.0 for the single-bar case
+    p = p[p > 0.0]  # a length / total that underflows to 0 adds 0 * ln 0 := 0
+    return float(-(p * np.log(p)).sum()) + 0.0  # normalize -0.0 when one bar holds all the length
 
 
 def signal_barcode(s: Signal, target_len: int = DEFAULT_TARGET_LEN) -> Barcode:

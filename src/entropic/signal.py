@@ -193,13 +193,13 @@ def load_wav(path, target_len: int | None = None) -> Signal:
 def load_csv_signal(path) -> Signal:
     """Load a signal from a text file with one decimal value per line.
 
-    Each non-blank line is one Python ``float`` literal; blank lines are
-    skipped. The values are parsed in one pass and checked for finiteness at
-    once; only a file that fails is read again line by line, to name the
-    first bad line.
+    Each non-blank line is one Python ``float`` literal; blank lines and a
+    leading UTF-8 byte order mark are skipped. The values are parsed in one
+    pass and checked for finiteness at once; only a file that fails is read
+    again line by line, to name the first bad line.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             # The lines iterating fh gives; str.splitlines would also split
             # at form feeds, \x1c-\x1e, \x85 and \u2028/9.
             lines = fh.read().split("\n")

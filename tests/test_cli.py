@@ -17,7 +17,7 @@ from click.testing import CliRunner
 import entropic
 from conftest import make_matrix
 from entropic import dataset as ds
-from entropic.cli import DEFAULTS, main
+from entropic.cli import main
 from entropic.dataset import (
     EMOTIONS,
     ExperimentConfig,
@@ -26,6 +26,7 @@ from entropic.dataset import (
     entropy_table_csv,
     read_entropy_table,
 )
+from entropic.signal import DEFAULT_TARGET_LEN
 from entropic.svm import KernelSpec, select_best_kernel
 
 
@@ -136,13 +137,27 @@ class TestEntropyCommand:
         assert (out / "entropy.csv").exists()
 
 
+def option_defaults(command):
+    """The value of each option of a command that is given none of them."""
+    cmd = main.commands[command]
+    args = ["1" if p.name == "exp_id" else "X" for p in cmd.params if isinstance(p, click.Argument)]
+    values = cmd.make_context(command, args).params
+    return {p.name: values[p.name] for p in cmd.params if isinstance(p, click.Option)}
+
+
 def test_defaults_come_from_the_library():
     library = ExperimentConfig()
-    for key in ("target_len", "seed", "k", "C", "tol"):
-        assert DEFAULTS[key] == getattr(library, key)
-    assert DEFAULTS["kernel"] is None  # a name flag; None: the experiment's own kernel
+    for command in ("entropy", "barcode"):
+        assert option_defaults(command) == {"target_len": DEFAULT_TARGET_LEN, "out_dir": None}
+    grid = {"out_dir": None, "jobs": 1, **{key: getattr(library, key)
+                                           for key in ("target_len", "seed", "k", "tol")}}
+    assert option_defaults("kernels") == grid
     poly = KernelSpec("polynomial")
-    assert (DEFAULTS["degree"], DEFAULTS["offset"]) == (poly.degree, poly.offset) == (2, 1.0)
+    assert (poly.degree, poly.offset) == (2, 1.0)
+    assert option_defaults("experiment") == {
+        **grid, "C": library.C, "degree": poly.degree, "offset": poly.offset,
+        "kernel": None,  # None: the experiment's own kernel
+        "sigma": None}  # a gaussian --kernel needs an explicit --sigma
 
 
 def test_polynomial_flag_is_the_library_polynomial(runner, table_csv, tmp_path):
@@ -435,7 +450,7 @@ def test_target_len_below_two_is_a_usage_error(runner, tmp_path, via, command, v
     inputs = [str(wavs[0])] if command[0] in ("entropy", "barcode") else [str(tmp_path / "corpus")]
     result = _invoke_with(runner, command + inputs, "target_len", value, via)
     assert result.exit_code == 2, result.output
-    assert result.output.count(f"--target-len must be at least 2, got {value}") == 1
+    assert result.output.count(f"Invalid value for '--target-len': {value} is not in the range x>=2.") == 1
     assert "error:" not in result.output and "warning:" not in result.output  # no file was read
 
 
@@ -462,7 +477,7 @@ def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch
     fail_if_input_is_read(monkeypatch)
     result = _invoke_with(runner, args + [str(table_csv)], key, value, via)
     assert result.exit_code == 2, result.output
-    assert f"--{key} must be at least {low}, got {value}" in result.output
+    assert result.output.count(f"Invalid value for '--{key}': {value} is not in the range x>={low}.") == 1
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
@@ -529,9 +544,7 @@ def test_config_key_of_another_command_is_a_usage_error(runner, table_csv, sig_c
 
 def test_experiment_takes_every_config_key(table_csv):
     config = {**_OTHER_COMMANDS_KEYS, "target_len": 10000, "degree": 2}
-    assert config.keys() == DEFAULTS.keys()
-    assert {p.name for p in main.commands["experiment"].params if isinstance(p, click.Option)} == {
-        *DEFAULTS, "out_dir"}
+    assert option_defaults("experiment").keys() == {*config, "out_dir"}
     env = {f"ENTROPIC_EXPERIMENT_{key.upper()}": str(value) for key, value in config.items()}
     result = CliRunner(env=env).invoke(main, ["experiment", "2", str(table_csv)])
     assert result.exit_code == 0, result.output
@@ -731,3 +744,44 @@ def test_manifest_with_a_byte_order_mark_reads_as_without(runner, tmp_path):
     assert plain.exit_code == 0, plain.output
     result = runner.invoke(main, ["experiment", "2", str(tmp_path / "marked.csv")])
     assert (result.exit_code, result.output) == (0, plain.output)
+
+
+@pytest.mark.parametrize("command", ["entropy", "barcode"])
+@pytest.mark.parametrize("name,data,message", [
+    ("bad.csv", b"1.0\nabc\n", "{p}: non-numeric value at line 2: 'abc'"),
+    ("bad.wav", b"RIFF", "not a RIFF, RIFX or RF64 WAVE file: {p}"),
+    ("missing.csv", None, "cannot read signal file {p}: [Errno 2] No such file or directory: '{p}'"),
+], ids=["csv", "wav", "missing"])
+def test_a_file_that_cannot_be_read_is_named_once(runner, tmp_path, command, name, data, message):
+    p = tmp_path / name
+    if data is not None:
+        p.write_bytes(data)
+    result = runner.invoke(main, [command, str(p)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: {message.format(p=p)}\n"
+
+
+def test_entropy_beyond_float64_is_an_error_naming_the_file(runner, tmp_path):
+    wide, flat = tmp_path / "wide.csv", tmp_path / "flat.csv"
+    wide.write_text("-1e308\n1e308\n0\n")
+    flat.write_text("1e308\n1e308\n")  # one bar: entropy 0
+    result = runner.invoke(main, ["entropy", str(wide), str(flat)])
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: {wide}: total bar length overflows float64\n"
+    assert result.stdout == f"path,samples,subsampled_to,bars,entropy\n{flat},2,2,1,0.0\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_each_corpus_warning_names_its_file_once(runner, tmp_path, monkeypatch, jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool of two
+    wide = tmp_path / "wide.csv"
+    wide.write_text("-1e308\n1e308\n0\n")
+    source, (w0, w1) = write_manifest(tmp_path, ["w0,1,male,neutral,normal,1,1",
+                                                 "w1,1,male,calm,normal,1,1",
+                                                 f"{wide},1,male,happy,normal,1,1"])
+    w1.write_bytes(b"RIFF")
+    result = runner.invoke(main, ["experiment", "2", str(source), "--jobs", jobs])
+    assert result.exit_code == 1 and "entropy matrix incomplete" in result.output, result.output
+    assert [line for line in result.stderr.splitlines() if line.startswith("warning:")] == [
+        f"warning: not a RIFF, RIFX or RF64 WAVE file: {w1}",
+        f"warning: {wide}: total bar length overflows float64"]

@@ -27,7 +27,8 @@ fuzz = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
 CELL = st.one_of(TEXT, st.sampled_from(["", "1", "24", "25", "0", "-1", "male", "female", "x",
                                         "neutral", "happy", "normal", "strong", "2", "nan",
-                                        "inf", "1e999", "8.1", "a.wav", "b.csv",
+                                        "inf", "1e999", "8.1", "a.wav", "b.csv", "1e308",
+                                        "-1e308", "1.7976931348623157e308",
                                         "x" * 131_073]))  # above the csv module's field limit
 # A file's bytes: well-formed text, or any bytes, invalid UTF-8 included.
 RAW = st.one_of(st.binary(max_size=64), TEXT.map(str.encode))
@@ -151,6 +152,8 @@ def test_config_values(variables):
 @fuzz
 @given(signal=st.one_of(RAW, st.lists(CELL, max_size=20).map(lambda lines: "\n".join(lines).encode())),
        command=st.sampled_from([["entropy"], ["barcode"], ["entropy", "--target-len", "3"]]))
+@example(signal=b"-1e308\n1e308\n0\n", command=["entropy"])  # bar lengths beyond float64
+@example(signal=b"1e308\n1e308\n", command=["entropy"])
 def test_csv_signal(signal, command):
     run({"s.csv": signal}, command[:1] + ["@s.csv"] + command[1:])
 

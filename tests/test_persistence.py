@@ -292,6 +292,20 @@ class TestPersistentEntropy:
         with pytest.raises(BarcodeError):
             persistent_entropy(Barcode(births=np.array([]), deaths=np.array([]), f_max=0.0))
 
+    def test_single_bar_is_zero_at_the_edge_of_float64(self):
+        # f_max + 1 rounds to f_max = 1e308, so the bar would measure 0.
+        assert persistent_entropy(barcode_of([1e308, 1e308])) == 0.0
+
+    @pytest.mark.parametrize("values", [[-1e308, 1e308, 0.0], [0.0, 1e308, 0.0, 1e308, 0.5]],
+                             ids=["one_length", "sum"])
+    def test_total_length_beyond_float64_is_refused(self, values):
+        with pytest.raises(BarcodeError, match="^total bar length overflows float64$"):
+            persistent_entropy(barcode_of(values))
+
+    def test_bar_too_short_to_register_adds_nothing(self):
+        # 1e-300 / 2e300 underflows to 0, which adds 0 * ln 0 := 0, not nan.
+        assert persistent_entropy(barcode_of([0.0, 1e-300, 0.0, 1e300, 0.0])) == math.log(2)
+
 
 class TestSignalEntropy:
     def test_monotone_is_zero(self):

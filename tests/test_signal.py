@@ -382,6 +382,15 @@ class TestLoadCsv:
         with pytest.raises(SignalError, match="empty"):
             load_csv_signal(path)
 
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0\n5.0\n2.0\n")  # as a "CSV UTF-8" export starts
+        assert load_csv_signal(path).samples.tolist() == [1.0, 5.0, 2.0]
+        path.write_bytes(b"\xef\xbb\xbf")
+        with pytest.raises(SignalError) as got:
+            load_csv_signal(path)
+        assert str(got.value) == f"empty file: {path}"
+
 
     @pytest.mark.parametrize("bad", [False, True])
     def test_same_samples_and_errors_as_reference(self, tmp_path, bad):
