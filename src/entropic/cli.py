@@ -2,20 +2,22 @@
 
 Subcommands: entropy, barcode, experiment, stats, kernels. `kernels N` is the
 kernel/C grid search for each of the three experiments; `experiment N` runs
-one experiment with one kernel and C. Option precedence is built-in defaults
-< ENTROPIC_<COMMAND>_<OPTION> environment variables < explicit flags. The
-defaults are those of ExperimentConfig and KernelSpec (polynomial: degree 2,
-offset 1), and `--help` shows them. A variable sets a flag of one subcommand,
-e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy --target-len 3` (click
-auto-envvar), and click checks it as it checks the flag, minimums included
-("Invalid value for '--k': 1 is not in the range x>=2."); a bare
-ENTROPIC_TARGET_LEN is ignored. The effective configuration is echoed into
-every primary output. A signal, table or manifest may start with a UTF-8 BOM.
+one experiment with one kernel and C; its `--kernel` reads a kernel as every
+output writes it (KernelSpec.parse). Option precedence is built-in defaults
+< ENTROPIC_<COMMAND>_<OPTION> environment variables < explicit flags; the
+defaults are ExperimentConfig's, and `--help` shows them. A variable sets a
+flag of one subcommand, e.g. ENTROPIC_ENTROPY_TARGET_LEN=3 for `entropy
+--target-len 3` (click auto-envvar), and click checks it as it checks the
+flag; a bare ENTROPIC_TARGET_LEN is ignored. The effective configuration is
+echoed into every primary output. A signal, table or manifest may start with
+a UTF-8 BOM.
 
 Exit codes: 0 success, 1 partial per-file failure or an error of the run
-(one `error:` line), 2 invalid invocation. A file that fails, say one whose
-bar lengths overflow float64, gets one `error:` (or, in a corpus, `warning:`)
-line that names it once.
+(one `error:` line), 2 invalid invocation. Every refused option value, from
+a flag or a variable, is exit 2 with click's "Invalid value for '--k'" line,
+before any input is read. A file that fails, say one whose bar lengths
+overflow float64, gets one `error:` (or, in a corpus, `warning:`) line that
+names it once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -38,29 +39,21 @@ from .persistence import barcode_to_csv, persistent_entropy, signal_barcode
 from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 
 _EXPERIMENT = ds.ExperimentConfig()
-_POLYNOMIAL = svm.KernelSpec("polynomial")
 
 
-def _kernel_from_config(kernel: str | None, sigma: float | None, degree: int, offset: float):
-    """The configured kernel; None for the experiment's default.
-
-    A name or parameter that KernelSpec refuses is a usage error, except a
-    non-finite sigma: that stays an error of the run, as a non-finite C is.
-    """
-    if kernel is None:
-        return None
-    if kernel == "gaussian" and sigma is None:
-        raise click.UsageError("gaussian kernel requires --sigma")
+def _kernel(ctx, param, text: str | None) -> svm.KernelSpec | None:
+    """--kernel as KernelSpec.parse reads it; None for the experiment's own kernel."""
     try:
-        if kernel == "polynomial":
-            return svm.KernelSpec(kernel, degree=degree, offset=offset)
-        if kernel == "gaussian":
-            return svm.KernelSpec(kernel, sigma=sigma)
-        return svm.KernelSpec(kernel)
+        return None if text is None else svm.KernelSpec.parse(text)
     except TrainingError as exc:
-        if kernel == "gaussian" and not math.isfinite(sigma):
-            raise
-        raise click.UsageError(str(exc))
+        raise click.BadParameter(str(exc))
+
+
+def _positive_finite(ctx, param, value: float) -> float:
+    """--C or --tol as ExperimentConfig takes it."""
+    if not 0 < value < np.inf:
+        raise click.BadParameter(f"must be positive and finite, got {value}")
+    return value
 
 
 def _load_signal(path: str):
@@ -100,7 +93,7 @@ _EXPERIMENT_PARAMS = (
     click.Option(["--seed"], type=click.IntRange(min=0), default=_EXPERIMENT.seed),
     click.Option(["--k"], type=click.IntRange(min=2), default=_EXPERIMENT.k, help="CV fold count."),
     click.Option(["--jobs"], type=click.IntRange(min=1), default=1),
-    click.Option(["--tol"], type=float, default=_EXPERIMENT.tol,
+    click.Option(["--tol"], type=float, default=_EXPERIMENT.tol, callback=_positive_finite,
                  help="SMO stopping tolerance on the KKT gap."),
 )
 
@@ -172,19 +165,14 @@ def _load_matrix(source: str, target_len: int, jobs: int) -> st.EntropyMatrix:
 
 @main.command(params=[
     *_EXPERIMENT_PARAMS,
-    click.Option(["--kernel"], type=click.Choice(svm.KERNEL_FAMILIES),
-                 help="Default: the experiment's own kernel."),
-    click.Option(["--C", "C"], type=float, default=_EXPERIMENT.C),
-    click.Option(["--sigma"], type=float, help="Required by --kernel gaussian."),
-    click.Option(["--degree"], type=int, default=_POLYNOMIAL.degree),
-    click.Option(["--offset"], type=float, default=_POLYNOMIAL.offset),
+    click.Option(["--kernel"], callback=_kernel,
+                 help="linear, polynomial, polynomial(d=D, c=C) or gaussian(sigma=S), as the "
+                      "outputs write it; default: the experiment's own kernel."),
+    click.Option(["--C", "C"], type=float, default=_EXPERIMENT.C, callback=_positive_finite),
 ])
-def experiment(exp_id, source, target_len, out_dir, seed, k, jobs, tol, kernel, C, sigma, degree,
-               offset) -> None:
+def experiment(exp_id, source, target_len, out_dir, seed, k, jobs, tol, kernel, C) -> None:
     """Run experiment 1, 2 or 3 on a manifest, entropy table or corpus tree."""
-    # Built before any input is read, so that a bad parameter costs no decoding.
-    config = ds.ExperimentConfig(seed=seed, k=k, C=C, tol=tol, target_len=target_len,
-                                 kernel=_kernel_from_config(kernel, sigma, degree, offset))
+    config = ds.ExperimentConfig(seed=seed, k=k, C=C, tol=tol, target_len=target_len, kernel=kernel)
     result = ds.run_experiment(exp_id, _load_matrix(source, target_len, jobs), config)
     _write(out_dir, f"experiment{exp_id}.json", result.to_json() + "\n")
     if exp_id == 3:
@@ -210,7 +198,7 @@ def stats(table, out_dir) -> None:
 @main.command(params=list(_EXPERIMENT_PARAMS))
 def kernels(exp_id, source, target_len, out_dir, seed, k, jobs, tol) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    config = ds.ExperimentConfig(seed=seed, k=k, tol=tol, target_len=target_len)  # checks tol
+    config = ds.ExperimentConfig(seed=seed, k=k, tol=tol, target_len=target_len)
     builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
     points = builder[exp_id](_load_matrix(source, target_len, jobs))
     result = svm.select_best_kernel(points, tol=config.tol, k=config.k, seed=config.seed)

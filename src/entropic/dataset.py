@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import operator
 import os
 import re
@@ -23,7 +24,7 @@ from . import svm
 from .errors import DatasetError, SignalError
 from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 from .persistence import signal_entropy
-from .stats import ActorInfo, AudioInfo, EntropyMatrix
+from .stats import ActorInfo, AudioInfo, EntropyMatrix, require_complete
 
 EMOTIONS = ("neutral", "calm", "happy", "sad", "angry", "fearful", "disgust", "surprised")
 # The classes of experiment 3; see build_experiment3 for why neutral is not one.
@@ -212,6 +213,8 @@ def build_entropy_table(
     """
     if not records:
         raise DatasetError("no recordings")
+    if target_len < 2:
+        raise DatasetError(f"target_len must be at least 2, got {target_len}")
     cells: dict[tuple, str] = {}
     actors: dict[int, RecordingMeta] = {}  # each actor's first record
     for rec in records:
@@ -272,23 +275,9 @@ def build_entropy_table(
     return EntropyTableResult(matrix=matrix, failures=tuple(sorted(failures)))
 
 
-def missing_cells(m: EntropyMatrix) -> list[tuple[int, str]]:
-    """(actor_id, column key) pairs that are absent from an incomplete matrix."""
-    return [(m.actor_meta[i].actor_id, m.audio_meta[j].column_key())
-            for i, j in np.argwhere(~np.isfinite(m.values))]
-
-
-def _require_complete(m: EntropyMatrix) -> None:
-    if not m.complete:
-        cells = missing_cells(m)
-        shown = ", ".join(f"actor {a}: {c}" for a, c in cells[:10])
-        more = "" if len(cells) <= 10 else f" (+{len(cells) - 10} more)"
-        raise DatasetError(f"entropy matrix incomplete; missing {shown}{more}")
-
-
 def build_experiment1(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     """One 1-D point per recording, labeled by emotion."""
-    _require_complete(m)
+    require_complete(m, DatasetError)
     points = []
     for row in m.values:
         for value, meta in zip(row, m.audio_meta):
@@ -298,7 +287,7 @@ def build_experiment1(m: EntropyMatrix) -> list[svm.LabeledPoint]:
 
 def build_experiment2(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     """One point per audio column: the vector of entropies over all actors."""
-    _require_complete(m)
+    require_complete(m, DatasetError)
     points = []
     for j, meta in enumerate(m.audio_meta):
         points.append(svm.LabeledPoint(features=m.values[:, j].copy(), label=meta.emotion))
@@ -312,7 +301,7 @@ def build_experiment3(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     Neutral has only 4 recordings and cannot fill the 8 features, so it is
     excluded.
     """
-    _require_complete(m)
+    require_complete(m, DatasetError)
     points = []
     for row in m.values:
         for emotion in NON_NEUTRAL:
@@ -454,7 +443,8 @@ def read_entropy_table(path) -> EntropyMatrix:
     """Parse the CSV written by :func:`entropy_table_csv`.
 
     The header must name the canonical 60 audio columns in order, and each
-    row a distinct actor as a manifest would; an empty cell is NaN.
+    row a distinct actor as a manifest would. An empty cell is a missing
+    entropy (NaN); any other cell must hold a finite number.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -476,7 +466,10 @@ def read_entropy_table(path) -> EntropyMatrix:
         try:
             actor = ActorInfo(int(row[0]), row[1])
             _check_actor(*actor)
-            values.append([float(c) if c else float("nan") for c in row[2:]])
+            values.append([float(c) if c else math.nan for c in row[2:]])
+            for value, text, column in zip(values[-1], row[2:], columns):
+                if text and not math.isfinite(value):
+                    raise DatasetError(f"{column.column_key()}: entropy must be finite, got {text!r}")
         except (ValueError, DatasetError) as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}")
         if actor.actor_id in seen:

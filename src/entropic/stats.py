@@ -53,6 +53,21 @@ class EntropyMatrix:
         return bool(np.isfinite(self.values).all())
 
 
+def missing_cells(m: EntropyMatrix) -> list[tuple[int, str]]:
+    """(actor_id, column key) pairs that are absent from an incomplete matrix."""
+    return [(m.actor_meta[i].actor_id, m.audio_meta[j].column_key())
+            for i, j in np.argwhere(~np.isfinite(m.values))]
+
+
+def require_complete(m: EntropyMatrix, error: type[Exception]) -> None:
+    """Raise error, naming the first missing cells by actor and column, unless m is complete."""
+    if not m.complete:
+        cells = missing_cells(m)
+        shown = ", ".join(f"actor {a}: {c}" for a, c in cells[:10])
+        more = "" if len(cells) <= 10 else f" (+{len(cells) - 10} more)"
+        raise error(f"entropy matrix incomplete; missing {shown}{more}")
+
+
 def _row_correlations(x: np.ndarray) -> np.ndarray:
     """Pearson correlation of every pair of rows of x, as an n x n array.
 
@@ -72,8 +87,7 @@ def _row_correlations(x: np.ndarray) -> np.ndarray:
 
 def correlation_matrix(m: EntropyMatrix) -> np.ndarray:
     """Symmetric actor-by-actor Pearson matrix with exact unit diagonal."""
-    if not m.complete:
-        raise StatsError("entropy matrix has incomplete rows")
+    require_complete(m, StatsError)
     if m.values.shape[0] < 2:
         return np.eye(m.values.shape[0])
     out = _row_correlations(m.values)
@@ -165,8 +179,7 @@ def summarize(values: Sequence[float]) -> BoxplotSummary:
 
 def boxplot_by_audio(m: EntropyMatrix) -> list[tuple[AudioInfo, BoxplotSummary]]:
     """One summary per audio column, over actors; grouped by the column's emotion."""
-    if not m.complete:
-        raise StatsError("entropy matrix has incomplete rows")
+    require_complete(m, StatsError)
     return [(meta, summarize(m.values[:, col])) for col, meta in enumerate(m.audio_meta)]
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -46,10 +47,12 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in KERNEL_FAMILIES:
             raise TrainingError(f"unknown kernel family: {self.family!r}")
-        if self.family == "polynomial" and self.degree < 1:
-            raise TrainingError("polynomial degree must be >= 1")
-        if self.family == "gaussian" and not 0 < self.sigma < math.inf:
-            raise TrainingError(f"gaussian sigma must be positive and finite, got {self.sigma}")
+        if self.family == "polynomial" and not (self.degree >= 1 and math.isfinite(self.offset)):
+            raise TrainingError(f"polynomial degree must be >= 1 and offset finite, got {self.describe()}")
+        # kernel_matrix divides by 2 sigma^2, which must neither underflow to 0 nor overflow.
+        if self.family == "gaussian" and not (self.sigma > 0 and 0 < 2.0 * (self.sigma * self.sigma) < math.inf):
+            raise TrainingError(
+                f"gaussian sigma must be positive and finite, as must 2 sigma^2, got {self.sigma}")
 
     def describe(self) -> str:
         if self.family == "linear":
@@ -57,6 +60,26 @@ class KernelSpec:
         if self.family == "polynomial":
             return f"polynomial(d={self.degree}, c={self.offset})"
         return f"gaussian(sigma={self.sigma})"
+
+    @classmethod
+    def parse(cls, text: str) -> KernelSpec:
+        """The spec whose describe() is text; a bare 'linear' or 'polynomial' (its defaults) too."""
+        match = _DESCRIBED.fullmatch(text)
+        if match is None:
+            raise TrainingError(f"kernel must be linear, polynomial, polynomial(d=D, c=C) "
+                                f"or gaussian(sigma=S), got {text!r}")
+        bare, degree, offset, sigma = match.groups()
+        if bare:
+            return cls(bare)
+        if sigma is None:
+            return cls("polynomial", degree=int(degree), offset=float(offset))
+        return cls("gaussian", sigma=float(sigma))
+
+
+# What describe() writes, and a bare family name that parse() takes with its defaults.
+_NUMBER = r"(-?(?:\d+(?:\.\d+)?(?:e[-+]?\d+)?|inf|nan))"  # a Python int or float repr
+_DESCRIBED = re.compile(rf"(linear|polynomial)|polynomial\(d=(-?\d+), c={_NUMBER}\)"
+                        rf"|gaussian\(sigma={_NUMBER}\)")
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -481,7 +504,10 @@ def _shuffled_by_class(labels: Sequence, seed: int) -> dict:
     """Each class's indices in a seeded random order, keyed by class in order
     of first appearance. One generator shuffles the classes in sorted order,
     so the draws do not depend on the order in which the classes appear."""
-    rng = _Pcg64(seed)
+    try:
+        rng = _Pcg64(seed)
+    except ValueError:  # numpy's, for a negative seed; it names no seed
+        raise TrainingError(f"seed must be a non-negative integer, got {seed}")
     by_class: dict = {}
     for idx, lab in enumerate(labels):
         by_class.setdefault(lab, []).append(idx)

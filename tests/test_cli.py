@@ -152,12 +152,8 @@ def test_defaults_come_from_the_library():
     grid = {"out_dir": None, "jobs": 1, **{key: getattr(library, key)
                                            for key in ("target_len", "seed", "k", "tol")}}
     assert option_defaults("kernels") == grid
-    poly = KernelSpec("polynomial")
-    assert (poly.degree, poly.offset) == (2, 1.0)
-    assert option_defaults("experiment") == {
-        **grid, "C": library.C, "degree": poly.degree, "offset": poly.offset,
-        "kernel": None,  # None: the experiment's own kernel
-        "sigma": None}  # a gaussian --kernel needs an explicit --sigma
+    assert option_defaults("experiment") == {**grid, "C": library.C,
+                                             "kernel": None}  # None: the experiment's own kernel
 
 
 def test_polynomial_flag_is_the_library_polynomial(runner, table_csv, tmp_path):
@@ -174,6 +170,10 @@ def test_polynomial_flag_is_the_library_polynomial(runner, table_csv, tmp_path):
     ["stats", "TABLE", "--config", "CFG"],
     *([*command, "--config", "CFG"] for command in (["entropy", "SIGNAL"], ["barcode", "SIGNAL"],
                                                     ["experiment", "2", "TABLE"], ["kernels", "2", "TABLE"])),
+    # The kernel's parameters are part of the --kernel text.
+    ["experiment", "2", "TABLE", "--kernel", "gaussian", "--sigma", "0.5"],
+    ["experiment", "3", "TABLE", "--degree", "3"],
+    ["experiment", "1", "TABLE", "--kernel", "polynomial", "--offset", "0"],
 ])
 def test_removed_options_are_usage_errors(runner, sig_csv, table_csv, tmp_path, monkeypatch, args):
     fail_if_input_is_read(monkeypatch)
@@ -183,6 +183,22 @@ def test_removed_options_are_usage_errors(runner, sig_csv, table_csv, tmp_path, 
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "No such option" in result.output
+
+
+@pytest.mark.parametrize("exp_id,actors", [("3", 3), ("3", 6), ("2", 6)])
+def test_kernels_winner_replays_through_experiment(runner, random_matrix, tmp_path, exp_id, actors):
+    table = tmp_path / "table.csv"  # the winners here: two gaussians and polynomial(d=3, c=0.0)
+    table.write_text(entropy_table_csv(make_matrix(random_matrix.values[:actors])))
+    grid = runner.invoke(main, ["kernels", exp_id, str(table), "--k", "3"])
+    assert grid.exit_code == 0, grid.output
+    best = json.loads(grid.output)["best"]
+    assert best["kernel"] != "linear"
+    result = runner.invoke(main, ["experiment", exp_id, str(table), "--k", "3", "--kernel", best["kernel"],
+                                  "--C", repr(best["C"])])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output if exp_id == "2" else result.output.split("\nemotion,")[0])
+    assert doc["kernel"] == doc["config"]["kernel"] == best["kernel"]
+    assert doc["config"]["C"] == best["C"]
 
 
 class TestBarcodeCommand:
@@ -234,14 +250,14 @@ class TestExperimentCommand:
         (["--C", "nan"], {}),
         ([], {"ENTROPIC_EXPERIMENT_C": "nan"}),
         (["--tol", "nan"], {}),
-        (["--kernel", "gaussian", "--sigma", "inf"], {}),
+        (["--kernel", "gaussian(sigma=inf)"], {}),
     ], ids=["C_inf", "C_nan", "C_nan_env", "tol_nan", "sigma_inf"])
     def test_non_finite_parameter_is_an_error(self, table_csv, tmp_path, monkeypatch, flags, env):
         fail_if_input_is_read(monkeypatch)
         args = ["experiment", "2", str(table_csv), "--out-dir", str(tmp_path / "out")] + flags
         result = CliRunner(env=env).invoke(main, args)
-        assert result.exit_code == 1, result.output
-        assert "error:" in result.output and "finite" in result.output
+        assert result.exit_code == 2, result.output
+        assert "Error: Invalid value for '--" in result.output and "finite" in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
 
@@ -303,6 +319,30 @@ def test_malformed_table_is_an_error_not_a_traceback(table_csv, command, field, 
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {bad}:2: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [["experiment", "3"], ["stats"]])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999", "NaN", "-1e400"])
+def test_non_finite_cell_is_an_error_naming_its_line_and_column(runner, table_csv, tmp_path, command, text):
+    bad = corrupt_first_row(table_csv, 5, text)  # the fourth audio column
+    key = audio_columns()[3].column_key()
+    result = runner.invoke(main, command + [str(bad), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {bad}:2: {key}: entropy must be finite, got {text!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["experiment", "3"], ["kernels", "2"], ["stats"]])
+def test_missing_entropy_is_named_by_actor_and_column(runner, table_csv, tmp_path, command):
+    def edit(rows):
+        rows[1][5] = rows[3][2 + 59] = ""
+    bad = rewrite_table(table_csv, edit)
+    keys = [audio_columns()[3].column_key(), audio_columns()[59].column_key()]
+    result = runner.invoke(main, command + [str(bad), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == (f"error: entropy matrix incomplete; missing actor 1: {keys[0]}, "
+                             f"actor 3: {keys[1]}\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestKernelsCommand:
@@ -482,10 +522,10 @@ def test_negative_seed_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("args,message", [
-    (["experiment", "2", "--kernel", "gaussian", "--sigma", "0"], "sigma must be positive"),
-    (["experiment", "2", "--kernel", "gaussian", "--sigma", "-1"], "sigma must be positive"),
-    (["experiment", "3", "--kernel", "polynomial", "--degree", "0"], "degree must be >= 1"),
-    (["experiment", "1", "--kernel", "gaussian"], "requires --sigma"),
+    (["experiment", "2", "--kernel", "gaussian(sigma=0)"], "sigma must be positive"),
+    (["experiment", "2", "--kernel", "gaussian(sigma=-1)"], "sigma must be positive"),
+    (["experiment", "3", "--kernel", "polynomial(d=0, c=1.0)"], "degree must be >= 1"),
+    (["experiment", "1", "--kernel", "gaussian"], "or gaussian(sigma=S), got 'gaussian'"),
 ], ids=["sigma_zero", "sigma_negative", "degree_zero", "sigma_missing"])
 def test_kernel_parameter_out_of_range_is_a_usage_error(runner, table_csv, tmp_path, monkeypatch,
                                                          args, message):
@@ -499,34 +539,34 @@ def test_kernel_parameter_out_of_range_is_a_usage_error(runner, table_csv, tmp_p
 
 def test_non_finite_sigma_is_found_before_the_input_is_read(runner, table_csv, monkeypatch):
     fail_if_input_is_read(monkeypatch)
-    result = runner.invoke(main, ["experiment", "2", str(table_csv), "--kernel", "gaussian",
-                                  "--sigma", "nan"])
-    assert result.exit_code == 1, result.output
-    assert "error: gaussian sigma must be positive and finite, got nan" in result.output
+    result = runner.invoke(main, ["experiment", "2", str(table_csv), "--kernel", "gaussian(sigma=nan)"])
+    assert result.exit_code == 2, result.output
+    assert ("Error: Invalid value for '--kernel': gaussian sigma must be positive and finite, "
+            "as must 2 sigma^2, got nan" in result.output)
 
 
-# C and tol are checked when the run's ExperimentConfig is built, before any input is read.
+# click refuses a C or tol that is not positive and finite, before any input is read.
 @pytest.mark.parametrize("args,message", [
-    (["experiment", "2", "--C", "0"], "C must be positive and finite, got 0.0"),
-    (["experiment", "2", "--C", "-1"], "C must be positive and finite, got -1.0"),
-    (["experiment", "2", "--C", "nan"], "C must be positive and finite, got nan"),
-    (["experiment", "2", "--tol", "0"], "tol must be positive and finite, got 0.0"),
-    (["kernels", "2", "--tol", "0"], "tol must be positive and finite, got 0.0"),
+    (["experiment", "2", "--C", "0"], "'--C': must be positive and finite, got 0.0"),
+    (["experiment", "2", "--C", "-1"], "'--C': must be positive and finite, got -1.0"),
+    (["experiment", "2", "--C", "nan"], "'--C': must be positive and finite, got nan"),
+    (["experiment", "2", "--tol", "0"], "'--tol': must be positive and finite, got 0.0"),
+    (["kernels", "2", "--tol", "0"], "'--tol': must be positive and finite, got 0.0"),
 ], ids=["C_zero", "C_negative", "C_nan", "tol_zero", "kernels_tol_zero"])
 def test_bad_C_or_tol_is_found_before_the_input_is_read(runner, table_csv, tmp_path, monkeypatch,
                                                         args, message):
     fail_if_input_is_read(monkeypatch)
     args = args[:2] + [str(table_csv), "--out-dir", str(tmp_path / "out")] + args[2:]
     result = runner.invoke(main, args)
-    assert result.exit_code == 1, result.output
-    assert result.output == f"error: {message}\n"
+    assert result.exit_code == 2, result.output
+    assert result.output.count(f"Error: Invalid value for {message}\n") == 1
     assert isinstance(result.exception, SystemExit)
     assert not (tmp_path / "out").exists()
 
 
 # A command takes only its own options; the values here would all be valid for experiment.
-_OTHER_COMMANDS_KEYS = {"seed": 1, "k": 3, "jobs": 2, "C": 1.0, "tol": 0.01, "kernel": "gaussian",
-                        "sigma": 0.5, "degree": 3, "offset": 0.0}
+_OTHER_COMMANDS_KEYS = {"seed": 1, "k": 3, "jobs": 2, "C": 1.0, "tol": 0.01,
+                        "kernel": "gaussian(sigma=0.5)"}
 
 
 @pytest.mark.parametrize("command,key", [
@@ -537,13 +577,14 @@ def test_config_key_of_another_command_is_a_usage_error(runner, table_csv, sig_c
                                                         command, key):
     fail_if_input_is_read(monkeypatch)
     source = table_csv if command.startswith("kernels") else sig_csv
-    result = runner.invoke(main, command.split() + [str(source), f"--{key}", str(_OTHER_COMMANDS_KEYS[key])])
+    value = _OTHER_COMMANDS_KEYS.get(key, 1)  # sigma, degree and offset are options of no command
+    result = runner.invoke(main, command.split() + [str(source), f"--{key}", str(value)])
     assert result.exit_code == 2, result.output
     assert "No such option" in result.output and f"--{key}" in result.output
 
 
 def test_experiment_takes_every_config_key(table_csv):
-    config = {**_OTHER_COMMANDS_KEYS, "target_len": 10000, "degree": 2}
+    config = {**_OTHER_COMMANDS_KEYS, "target_len": 10000}
     assert option_defaults("experiment").keys() == {*config, "out_dir"}
     env = {f"ENTROPIC_EXPERIMENT_{key.upper()}": str(value) for key, value in config.items()}
     result = CliRunner(env=env).invoke(main, ["experiment", "2", str(table_csv)])
@@ -557,7 +598,7 @@ def test_experiment_takes_every_config_key(table_csv):
 @pytest.mark.parametrize("via", ["flag", "env"])
 @pytest.mark.parametrize("name", ["rbf", "poly", "sigmoid"])
 def test_kernel_name_outside_the_families_is_a_usage_error(runner, table_csv, via, name):
-    result = _invoke_with(runner, ["experiment", "2", str(table_csv), "--sigma", "0.5"], "kernel", name, via)
+    result = _invoke_with(runner, ["experiment", "2", str(table_csv)], "kernel", name, via)
     assert result.exit_code == 2, result.output
     assert "error:" not in result.output
 
@@ -667,13 +708,9 @@ def test_out_dir_that_cannot_be_written_is_an_error(runner, sig_csv, table_csv, 
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 
-# One valid value other than the default for each option, and the flags it needs to take effect.
-_OPTION_VALUES = {
-    "target_len": ("3", []), "seed": ("1", []), "k": ("2", []), "jobs": ("2", []), "tol": ("0.01", []),
-    "kernel": ("linear", []), "C": ("10", []), "sigma": ("0.5", ["--kernel", "gaussian"]),
-    "degree": ("3", ["--kernel", "polynomial"]), "offset": ("0.5", ["--kernel", "polynomial"]),
-    "out_dir": ("OUT", []),
-}
+# One valid value other than the default for each option.
+_OPTION_VALUES = {"target_len": "3", "seed": "1", "k": "2", "jobs": "2", "tol": "0.01",
+                  "kernel": "polynomial(d=3, c=0.0)", "C": "10", "out_dir": "OUT"}
 _SOURCES = {"entropy": ["SIGNAL"], "barcode": ["SIGNAL"], "experiment": ["2", "TABLE"],
             "kernels": ["2", "TABLE"]}
 
@@ -682,11 +719,10 @@ _SOURCES = {"entropy": ["SIGNAL"], "barcode": ["SIGNAL"], "experiment": ["2", "T
     (command, param.name) for command in _SOURCES
     for param in main.commands[command].params if isinstance(param, click.Option)])
 def test_flag_and_env_variable_give_the_same_output(sig_csv, table_csv, tmp_path, command, option):
-    value, needs = _OPTION_VALUES[option]
     out = tmp_path / "out"
-    value = str(out) if value == "OUT" else value
+    value = str(out) if _OPTION_VALUES[option] == "OUT" else _OPTION_VALUES[option]
     sources = {"SIGNAL": str(sig_csv), "TABLE": str(table_csv)}
-    args = [command] + [sources.get(a, a) for a in _SOURCES[command]] + needs
+    args = [command] + [sources.get(a, a) for a in _SOURCES[command]]
     if command == "kernels" and option != "k":
         args += ["--k", "2"]  # two folds keep the grid search short
 

@@ -114,11 +114,17 @@ def test_malformed_entropy_table(table, command):
     run({"t.csv": table}, command + ["@t.csv"])
 
 
-# Any text an environment can hold (not NUL), and values at the edges of the options' types.
+# Any text an environment can hold (not NUL), values at the edges of the options' types,
+# and kernels as the outputs write them, with near-misses.
 ENV_VALUE = st.one_of(
     st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=12),
     st.sampled_from(["1e400", "-1e400", "nan", "inf", "0", "-1", "True", "2", "0.5",
-                     "linear", "polynomial", "gaussian"]),
+                     "linear", "polynomial", "gaussian", "polynomial(d=3, c=0.0)",
+                     "polynomial(d=2, c=1.0)", "gaussian(sigma=0.5)", "gaussian(sigma=0.3227166362893834)",
+                     "gaussian(sigma=)", "polynomial(d=2,c=1)", "gaussian(sigma=1e400)",
+                     "gaussian(sigma=nan)", "gaussian(sigma=-1.0)", "polynomial(d=0, c=1.0)",
+                     "polynomial(d=2.0, c=1.0)", "polynomial(d=2, c=-1e400)", "linear()",
+                     "gaussian(sigma=5e-324)", "gaussian(sigma=1e200)"]),
 )
 ENV_COMMANDS = [["entropy", "@s.csv"], ["barcode", "@s.csv"], ["experiment", "3", "@t.csv"],
                 ["experiment", "2", "@t.csv"], ["kernels", "3", "@t.csv"]]
@@ -138,10 +144,10 @@ def variables(draw) -> tuple[list[str], dict]:
 @fuzz
 @given(variables=variables())
 @example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_C": "1e400"}))
-@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "gaussian",
-                                                    "ENTROPIC_EXPERIMENT_SIGMA": "1e400"}))
-@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "polynomial",
-                                                    "ENTROPIC_EXPERIMENT_OFFSET": "-1e400"}))
+@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "gaussian(sigma=1e400)"}))
+@example(variables=(["experiment", "3", "@t.csv"],
+                    {"ENTROPIC_EXPERIMENT_KERNEL": "polynomial(d=2, c=-1e400)"}))
+@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "gaussian(sigma=1e200)"}))
 def test_config_values(variables):
     """A command's settings come from its variables, whatever text they hold."""
     command, env = variables

@@ -15,7 +15,7 @@ import pytest
 from conftest import make_matrix
 from entropic import dataset
 from entropic.errors import DatasetError
-from entropic.stats import EntropyMatrix
+from entropic.stats import EntropyMatrix, missing_cells, require_complete
 from entropic.svm import KernelSpec
 from entropic.dataset import (
     EMOTIONS,
@@ -28,7 +28,6 @@ from entropic.dataset import (
     build_experiment2,
     build_experiment3,
     entropy_table_csv,
-    missing_cells,
     pairwise_table_csv,
     parse_manifest,
     parse_ravdess_filename,
@@ -247,6 +246,15 @@ class TestBuildEntropyTable:
         assert len(result.failures) == 1
         assert not result.matrix.complete
         assert missing_cells(result.matrix) == [(1, "neutral-normal-1-1")]
+
+    @pytest.mark.parametrize("target_len", [1, 0, -3])
+    def test_target_len_below_two_is_refused_before_any_file_is_read(self, tmp_path, monkeypatch,
+                                                                    target_len):
+        records = write_corpus(tmp_path, actors=[1])
+        decoded = refuse_to_decode(monkeypatch)
+        with pytest.raises(DatasetError, match=f"^target_len must be at least 2, got {target_len}$"):
+            build_entropy_table(records, target_len=target_len)
+        assert decoded == []
 
     def test_duplicate_coordinates_rejected(self, tmp_path, monkeypatch):
         p = tmp_path / "m.csv"
@@ -477,7 +485,7 @@ class ReferencePoint(NamedTuple):
 
 
 def reference_build_experiment1(m) -> list[ReferencePoint]:
-    dataset._require_complete(m)
+    require_complete(m, DatasetError)
     points = []
     for i, actor in enumerate(m.actor_meta):
         for j, meta in enumerate(m.audio_meta):
@@ -492,7 +500,7 @@ def reference_build_experiment1(m) -> list[ReferencePoint]:
 
 
 def reference_build_experiment2(m) -> list[ReferencePoint]:
-    dataset._require_complete(m)
+    require_complete(m, DatasetError)
     points = []
     for j, meta in enumerate(m.audio_meta):
         points.append(
@@ -506,7 +514,7 @@ def reference_build_experiment2(m) -> list[ReferencePoint]:
 
 
 def reference_build_experiment3(m) -> list[ReferencePoint]:
-    dataset._require_complete(m)
+    require_complete(m, DatasetError)
     points = []
     for i, actor in enumerate(m.actor_meta):
         for emotion in EMOTIONS:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_blobs, scaled_kernel
-from entropic.dataset import audio_columns
+from entropic.dataset import audio_columns, build_experiment1, build_experiment2, build_experiment3
 from entropic.errors import TrainingError
 from entropic import svm
 from entropic.svm import (
@@ -63,6 +63,64 @@ class TestKernelEval:
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(TrainingError, match="finite"):
             KernelSpec("gaussian", sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e200, 1e155, 1e-170, 5e-324, -1e-170])
+    def test_sigma_whose_2_sigma_squared_leaves_float64_rejected(self, sigma):
+        # kernel_matrix would raise OverflowError on sigma**2, or divide by zero.
+        with pytest.raises(TrainingError, match="as must 2 sigma\\^2"):
+            KernelSpec("gaussian", sigma=sigma)
+        edge = KernelSpec("gaussian", sigma=1e150 if sigma > 1 else 1e-150)
+        assert np.isfinite(kernel_matrix(edge, [[0.0], [1.0]], [[0.0], [1.0]])).all()
+
+
+class TestKernelSpecParse:
+    @pytest.mark.parametrize("matrix", ["separable_matrix", "random_matrix"])
+    @pytest.mark.parametrize("build", [build_experiment1, build_experiment2, build_experiment3])
+    def test_round_trips_every_default_grid_spec(self, request, matrix, build):
+        X, _ = _stack(build(request.getfixturevalue(matrix)))
+        for spec in default_kernel_grid(X):
+            assert KernelSpec.parse(spec.describe()) == spec, spec.describe()
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("linear"), KernelSpec("polynomial"), KernelSpec("polynomial", degree=7, offset=-0.25),
+        KernelSpec("polynomial", degree=1, offset=0), KernelSpec("polynomial", degree=3, offset=-0.0),
+        KernelSpec("polynomial", degree=2, offset=1e-300), KernelSpec("polynomial", degree=2, offset=-3e+20),
+        KernelSpec("gaussian", sigma=0.5), KernelSpec("gaussian", sigma=1e-150),
+        KernelSpec("gaussian", sigma=1.2345678901234567e150), KernelSpec("gaussian", sigma=0.1 * 0.7),
+        KernelSpec("gaussian", sigma=3), KernelSpec("gaussian", sigma=1e16),
+    ], ids=lambda spec: spec.describe())
+    def test_round_trips_hand_written_specs(self, spec):
+        parsed = KernelSpec.parse(spec.describe())  # an int offset or sigma reads back as its float
+        assert parsed == spec
+        assert math.copysign(1.0, parsed.offset) == math.copysign(1.0, spec.offset)
+
+    def test_bare_families_take_the_defaults(self):
+        assert KernelSpec.parse("linear") == KernelSpec("linear")
+        assert KernelSpec.parse("polynomial") == KernelSpec("polynomial") == KernelSpec.parse(
+            "polynomial(d=2, c=1.0)")
+
+    @pytest.mark.parametrize("text,message", [
+        ("gaussian", "got 'gaussian'"), ("rbf", "got 'rbf'"), ("", "got ''"), ("Linear", "got 'Linear'"),
+        (" linear", "got ' linear'"), ("linear()", "got 'linear()'"), ("polynomial()", "got 'polynomial()'"),
+        ("gaussian(sigma=)", "got 'gaussian(sigma=)'"), ("polynomial(d=2,c=1)", "got 'polynomial(d=2,c=1)'"),
+        ("polynomial(d=2.0, c=1.0)", "got 'polynomial(d=2.0, c=1.0)'"),
+        ("polynomial(c=1.0, d=2)", "got 'polynomial(c=1.0, d=2)'"),
+        ("gaussian(sigma=0.5) ", "got 'gaussian(sigma=0.5) '"), ("gaussian(sigma=1_0)", "got 'gaussian(sigma=1_0)'"),
+        ("gaussian(sigma=infinity)", "got 'gaussian(sigma=infinity)'"),
+        ("gaussian(sigma=0)", "sigma must be positive and finite, as must 2 sigma^2, got 0.0"),
+        ("gaussian(sigma=-0.5)", "sigma must be positive and finite, as must 2 sigma^2, got -0.5"),
+        ("gaussian(sigma=nan)", "sigma must be positive and finite, as must 2 sigma^2, got nan"),
+        ("gaussian(sigma=1e400)", "sigma must be positive and finite, as must 2 sigma^2, got inf"),
+        ("gaussian(sigma=1e200)", "as must 2 sigma^2, got 1e+200"),
+        ("polynomial(d=0, c=1.0)", "degree must be >= 1"),
+        ("polynomial(d=-2, c=1.0)", "degree must be >= 1"),
+        ("polynomial(d=2, c=inf)", "offset finite, got polynomial(d=2, c=inf)"),
+        ("polynomial(d=2, c=-1e400)", "offset finite, got polynomial(d=2, c=-inf)"),
+    ])
+    def test_refuses_any_other_text(self, text, message):
+        with pytest.raises(TrainingError) as err:
+            KernelSpec.parse(text)
+        assert message in str(err.value)
 
 
 def kkt_residuals(model, data, C, tol):
@@ -848,6 +906,14 @@ class TestShuffleMatchesNumpy:
     def test_integer_like_seeds(self, seed):
         assert_same_indices(svm._Pcg64(seed).shuffled(range(50)),
                             np.random.default_rng(seed).permutation(50))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40)])
+    def test_negative_seed_is_a_training_error(self, seed):
+        labels = ["a", "b"] * 5
+        with pytest.raises(TrainingError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            stratified_folds(labels, 2, seed)
+        with pytest.raises(TrainingError, match=f"^seed must be a non-negative integer, got {seed}$"):
+            stratified_split(labels, 6, seed)
 
     @pytest.mark.parametrize("seed,error", [(-1, ValueError), (-(2**40), ValueError),
                                             (1.5, TypeError), ("3", TypeError)])
