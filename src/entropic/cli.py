@@ -78,17 +78,14 @@ _OUT_DIR = click.Option(["--out-dir"], type=click.Path(file_okay=False),
                         help="Write outputs here instead of stdout.")
 
 
-def _target_len(default: int) -> click.Option:
-    return click.Option(["--target-len"], type=click.IntRange(min=2), default=default,
-                        help="Subsample length.")
-
-
-_SIGNAL_OPTIONS = (_target_len(DEFAULT_TARGET_LEN), _OUT_DIR)
+_TARGET_LEN = click.Option(["--target-len"], type=click.IntRange(min=2), default=DEFAULT_TARGET_LEN,
+                           help="Subsample length.")
+_SIGNAL_OPTIONS = (_TARGET_LEN, _OUT_DIR)
 # The arguments and options that `experiment` and `kernels` share.
 _EXPERIMENT_PARAMS = (
     click.Argument(["exp_id"], type=click.IntRange(1, 3)),
     click.Argument(["source"], type=click.Path()),
-    _target_len(_EXPERIMENT.target_len),
+    _TARGET_LEN,
     _OUT_DIR,
     click.Option(["--seed"], type=click.IntRange(min=0), default=_EXPERIMENT.seed),
     click.Option(["--k"], type=click.IntRange(min=2), default=_EXPERIMENT.k, help="CV fold count."),
@@ -198,10 +195,9 @@ def stats(table, out_dir) -> None:
 @main.command(params=list(_EXPERIMENT_PARAMS))
 def kernels(exp_id, source, target_len, out_dir, seed, k, jobs, tol) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    config = ds.ExperimentConfig(seed=seed, k=k, tol=tol, target_len=target_len)
     builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
     points = builder[exp_id](_load_matrix(source, target_len, jobs))
-    result = svm.select_best_kernel(points, tol=config.tol, k=config.k, seed=config.seed)
+    result = svm.select_best_kernel(points, tol=tol, k=k, seed=seed)
     doc = {
         "experiment": exp_id,
         "best": {"kernel": result.kernel.describe(), "C": result.C,
@@ -211,8 +207,7 @@ def kernels(exp_id, source, target_len, out_dir, seed, k, jobs, tol) -> None:
         # pair updates, their largest final KKT gap and how many missed tol.
         "cells": [{"fits": cv.fits, "iterations": cv.iterations, "kkt_gap": cv.kkt_gap,
                    "unconverged": cv.unconverged} for cv in result.cells],
-        "config": {"seed": config.seed, "k": config.k, "target_len": config.target_len,
-                   "tol": config.tol},
+        "config": {"seed": seed, "k": k, "target_len": target_len, "tol": tol},
     }
     _write(out_dir, "kernels.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import TrainingError
 
 KERNEL_FAMILIES = ("linear", "polynomial", "gaussian")
+_MAX_ITER = 200_000  # the most SMO pair updates one fit makes, whatever its size
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,20 @@ _DESCRIBED = re.compile(rf"(linear|polynomial)|polynomial\(d=(-?\d+), c={_NUMBER
 
 
 def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Gram matrix K[i, j] = k(X[i], Y[j])."""
+    """Gram matrix K[i, j] = k(X[i], Y[j]); a value beyond float64 is inf or nan, with no warning."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise TrainingError(f"feature dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    dots = X @ Y.T
-    if spec.family == "linear":
-        return dots
-    if spec.family == "polynomial":
-        return (dots + spec.offset) ** spec.degree
-    sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * dots
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * spec.sigma**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = X @ Y.T
+        if spec.family == "linear":
+            return dots
+        if spec.family == "polynomial":
+            return (dots + spec.offset) ** spec.degree
+        sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * dots
+        np.maximum(sq, 0.0, out=sq)
+        return np.exp(-sq / (2.0 * spec.sigma**2))
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,11 @@ class SvmModel:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if len(self.alpha) == 0:
             return np.full(X.shape[0], self.bias)
-        K = kernel_matrix(self.kernel, X, self.support_vectors)
-        return K @ self.alpha + self.bias
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = kernel_matrix(self.kernel, X, self.support_vectors) @ self.alpha + self.bias
+        if not np.isfinite(values).all():
+            raise TrainingError(f"{self.kernel.describe()} decision values are not finite on these features")
+        return values
 
     def predict(self, X: np.ndarray) -> list:
         values = self.decision_values(X)
@@ -206,7 +211,6 @@ def train_binary(
     kernel: KernelSpec,
     C: float = 1.0,
     tol: float = 1e-3,
-    max_iter: int | None = None,
     *,
     start: SvmModel | None = None,
 ) -> SvmModel:
@@ -214,10 +218,11 @@ def train_binary(
 
     The first class in sorted label order maps to -1, the second to +1. The
     bias is the mean of y - f over free support vectors (0 < a < C), or the
-    midpoint of the KKT interval when none are free. Training stops when the
-    KKT gap falls to tol, after max_iter pair updates, or when the maximal
-    violating pair cannot move; the model records the updates made, the
-    final gap and whether it is within tol (``converged``).
+    midpoint of the final KKT interval when none are free. Training stops
+    when the KKT gap falls to tol, after min(10 n^2, _MAX_ITER) pair updates
+    on n points, or when the maximal violating pair cannot move; the model
+    records the updates made, the final gap and whether it is within tol
+    (``converged``).
 
     ``start``, a model that train_binary returned for the same points and
     kernel, makes SMO resume from its dual solution instead of alpha = 0.
@@ -237,8 +242,7 @@ def train_binary(
     _, _, (neg, pos), X, y, K, K_cols, K_diag = problem
 
     n = len(y)
-    if max_iter is None:
-        max_iter = min(10 * n * n, 200_000)
+    max_iter = min(10 * n * n, _MAX_ITER)
     eps = 1e-12 * C
     upper = C - eps
     # On problems of tens of points a NumPy call costs more than the
@@ -252,24 +256,25 @@ def train_binary(
         if max(a) > C + eps:  # SMO can leave an alpha one rounding above its C
             raise TrainingError(f"start has a dual variable above C={C}")
         f = start.f.copy()
-    # up_y[i] is y_i if alpha_i may move so that y_i alpha_i grows (the 'up'
+    # up_y[k] is y_k if alpha_k may move so that y_k alpha_k grows (the 'up'
     # set), else -inf; low_y likewise for 'low' with +inf. So up_y - f is
-    # y - f masked for the argmax without a np.where.
-    up_y = np.array([yk if (ak < upper if yk > 0 else ak > eps) else -math.inf
-                     for yk, ak in zip(ys, a)])
-    low_y = np.array([yk if (ak > eps if yk > 0 else ak < upper) else math.inf
-                      for yk, ak in zip(ys, a)])
-    gap_lo = -math.inf
-    gap_hi = math.inf
+    # y - f masked for the argmax without a np.where. They are set for every
+    # point, then for the pair that each update moves.
+    up_y, low_y = np.empty(n), np.empty(n)
+    moved = range(n)
     iterations = 0
-    for _ in range(max_iter):
+    while True:
+        for k in moved:
+            yk, ak = ys[k], a[k]
+            up_y[k] = yk if (ak < upper if yk > 0 else ak > eps) else -math.inf
+            low_y[k] = yk if (ak > eps if yk > 0 else ak < upper) else math.inf
         up_vals = up_y - f  # y - f = -y * gradient, on 'up'
         low_vals = low_y - f
         i = int(up_vals.argmax())
         j = int(low_vals.argmin())
         gap_lo, gap_hi = low_vals.item(j), up_vals.item(i)
         kkt_gap = gap_hi - gap_lo
-        if kkt_gap <= tol:
+        if kkt_gap <= tol or iterations == max_iter:
             break
 
         ai, aj, yi, yj = a[i], a[j], ys[i], ys[j]
@@ -289,17 +294,11 @@ def train_binary(
         if dj == 0.0:
             break  # numerically stuck on the most violating pair
         ai_new = ai + yi * yj * (aj - aj_new)
-        di = ai_new - ai
         a[i] = ai_new
         a[j] = aj_new
-        f += (di * yi) * K_cols[i] + (dj * yj) * K_cols[j]
-        for k, ak in ((i, ai_new), (j, aj_new)):
-            yk = ys[k]
-            up_y[k] = yk if (ak < upper if yk > 0 else ak > eps) else -math.inf
-            low_y[k] = yk if (ak > eps if yk > 0 else ak < upper) else math.inf
+        f += ((ai_new - ai) * yi) * K_cols[i] + (dj * yj) * K_cols[j]
+        moved = (i, j)
         iterations += 1
-    else:  # no break: f moved after the last check, or there was none
-        kkt_gap = float((up_y - f).max() - (low_y - f).min())
 
     free = [k for k, ak in enumerate(a) if eps < ak < upper]
     if free:

@@ -468,9 +468,24 @@ finally:
     print("loaded:", *[m for m in {UNNEEDED_MODULES!r} if m in sys.modules], file=sys.stderr)
 """
     env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "loaded:"
+
+
+# A Gram matrix beyond float64: (x.y + 1)^1000 overflows, and exp(-d^2 / 2e-320) is
+# the identity. Each is one outcome with no numpy warning; the first is refused.
+@pytest.mark.parametrize("kernel,code", [("polynomial(d=1000, c=1.0)", 1), ("gaussian(sigma=1e-160)", 0)])
+def test_kernel_beyond_float64_prints_no_warning(table_csv, kernel, code):
+    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", "from entropic.cli import main; main()",
+                           "experiment", "3", str(table_csv), "--kernel", kernel],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Warning" not in proc.stderr
+    if code:
+        assert proc.stderr == f"error: {kernel} kernel matrix is not finite on these features\n"
 
 
 def _invoke_with(runner, args, key, value, via):

@@ -148,6 +148,9 @@ def variables(draw) -> tuple[list[str], dict]:
 @example(variables=(["experiment", "3", "@t.csv"],
                     {"ENTROPIC_EXPERIMENT_KERNEL": "polynomial(d=2, c=-1e400)"}))
 @example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "gaussian(sigma=1e200)"}))
+@example(variables=(["experiment", "3", "@t.csv"],
+                    {"ENTROPIC_EXPERIMENT_KERNEL": "polynomial(d=1000, c=1.0)"}))
+@example(variables=(["experiment", "3", "@t.csv"], {"ENTROPIC_EXPERIMENT_KERNEL": "gaussian(sigma=1e-160)"}))
 def test_config_values(variables):
     """A command's settings come from its variables, whatever text they hold."""
     command, env = variables

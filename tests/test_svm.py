@@ -72,6 +72,13 @@ class TestKernelEval:
         edge = KernelSpec("gaussian", sigma=1e150 if sigma > 1 else 1e-150)
         assert np.isfinite(kernel_matrix(edge, [[0.0], [1.0]], [[0.0], [1.0]])).all()
 
+    def test_value_beyond_float64_gives_no_warning(self):
+        # The suite turns a warning into an error; training and prediction refuse the values.
+        X = [[1.0, 2.0], [3.0, 4.0]]
+        assert np.isinf(kernel_matrix(KernelSpec("polynomial", degree=1000), X, X)).all()
+        assert np.array_equal(kernel_matrix(KernelSpec("gaussian", sigma=1e-160), X, X), np.eye(2))
+        assert np.isinf(kernel_matrix(KernelSpec("linear"), [[1e200]], [[1e200]])).all()
+
 
 class TestKernelSpecParse:
     @pytest.mark.parametrize("matrix", ["separable_matrix", "random_matrix"])
@@ -213,9 +220,35 @@ class TestTrainBinary:
         assert m.kkt_gap <= 1e-3
         assert m.iterations > 0
 
-    def test_iteration_cap_is_reported(self):
+    def test_prediction_that_leaves_float64_is_an_error(self):
+        X, labels = make_blobs(seed=0)
+        m = train_binary(points_from(X, labels), KernelSpec("polynomial"), C=10.0)
+        assert np.isfinite(m.decision_values(X)).all()
+        with pytest.raises(TrainingError, match="decision values are not finite"):
+            m.decision_values(X * 1e200)
+        multi = train_multiclass(points_from(X, labels), KernelSpec("polynomial"), C=10.0)
+        with pytest.raises(TrainingError, match="decision values are not finite"):
+            multi.predict(X * 1e200)
+
+    def test_capped_fit_without_free_vectors_takes_the_final_interval_midpoint(self, monkeypatch):
+        # One update from alpha = 0 at a tiny C moves its pair to C, so no vector is free.
+        X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))
+        data = points_from(X, labels)
+        monkeypatch.setattr(svm, "_MAX_ITER", 1)
+        m = train_binary(data, KernelSpec("linear"), C=1e-3)
+        assert m.iterations == 1 and not m.converged
+        assert list(m.dual).count(1e-3) == 2 and m.dual.max() == 1e-3
+        y = np.array([-1.0 if p.label == m.class_pair[0] else 1.0 for p in data])
+        viol = y - (m.decision_values(X) - m.bias)
+        up = np.where(y > 0, m.dual < 1e-3, m.dual > 0)
+        low = np.where(y > 0, m.dual > 0, m.dual < 1e-3)
+        assert m.kkt_gap == pytest.approx(viol[up].max() - viol[low].min(), abs=1e-12)
+        assert m.bias == pytest.approx((viol[up].max() + viol[low].min()) / 2, abs=1e-12)
+
+    def test_iteration_cap_is_reported(self, monkeypatch):
         X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))  # overlapping
-        m = train_binary(points_from(X, labels), KernelSpec("linear"), C=10.0, max_iter=1)
+        monkeypatch.setattr(svm, "_MAX_ITER", 1)
+        m = train_binary(points_from(X, labels), KernelSpec("linear"), C=10.0)
         assert m.iterations == 1
         assert m.converged is False
         assert m.kkt_gap > 1e-3
@@ -324,10 +357,13 @@ def bit_identity_cases():
     return [pytest.param(*case[1:], id=case[0]) for case in cases]
 
 
-@pytest.mark.parametrize("data,kernel,C,max_iter", bit_identity_cases())
-def test_train_binary_is_bit_identical_to_reference(data, kernel, C, max_iter):
-    got = train_binary(data, kernel, C=C, max_iter=max_iter)
-    want = reference_train_binary(data, kernel, C=C, max_iter=max_iter)
+@pytest.mark.parametrize("data,kernel,C,cap", bit_identity_cases())
+def test_train_binary_is_bit_identical_to_reference(monkeypatch, data, kernel, C, cap):
+    """cap, when given, is the iteration cap, set through svm._MAX_ITER."""
+    if cap is not None:
+        monkeypatch.setattr(svm, "_MAX_ITER", cap)
+    got = train_binary(data, kernel, C=C)
+    want = reference_train_binary(data, kernel, C=C, max_iter=cap)
     assert np.array_equal(got.alpha, want.alpha)
     assert np.array_equal(got.support_vectors, want.support_vectors)
     assert got.bias == want.bias
