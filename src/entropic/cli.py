@@ -195,8 +195,7 @@ def stats(table, out_dir) -> None:
 @main.command(params=list(_EXPERIMENT_PARAMS))
 def kernels(exp_id, source, target_len, out_dir, seed, k, jobs, tol) -> None:
     """Kernel/C grid search over an experiment's feature set, by k-fold CV."""
-    builder = {1: ds.build_experiment1, 2: ds.build_experiment2, 3: ds.build_experiment3}
-    points = builder[exp_id](_load_matrix(source, target_len, jobs))
+    points = ds.experiment_points(exp_id, _load_matrix(source, target_len, jobs))
     result = svm.select_best_kernel(points, tol=tol, k=k, seed=seed)
     doc = {
         "experiment": exp_id,

@@ -310,6 +310,15 @@ def build_experiment3(m: EntropyMatrix) -> list[svm.LabeledPoint]:
     return points
 
 
+def experiment_points(exp_id: int, m: EntropyMatrix) -> list[svm.LabeledPoint]:
+    """The labeled points of experiment 1, 2 or 3. The builder is looked up at
+    each call, so one wrapped at the module attribute is the one that runs."""
+    builder = {1: build_experiment1, 2: build_experiment2, 3: build_experiment3}.get(exp_id)
+    if builder is None:
+        raise DatasetError(f"unknown experiment id: {exp_id}")
+    return builder(m)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs shared by the experiment runners; echoed into every result."""
@@ -361,27 +370,27 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
     3: per emotion pair, k-fold CV over per-actor 8-feature vectors with a
        (x.y + 1)^2 polynomial kernel by default; emits the pairwise table.
     """
-    if exp_id == 1:
-        points = build_experiment1(m)
-        kernel = config.kernel or svm.KernelSpec("linear")
-        cv = svm.kfold_cross_validate(
-            points, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
-        )
-        return ExperimentResult(
-            experiment=1,
-            kernel=kernel.describe(),
-            accuracies={"cv_mean": cv.mean_accuracy},
-            fold_accuracies=cv.fold_accuracies,
-            config=config.snapshot(kernel),
+    points = experiment_points(exp_id, m)
+    X = np.stack([p.features for p in points])
+    labels = [p.label for p in points]
+    if config.kernel is not None:
+        kernel = config.kernel
+    elif exp_id == 2:
+        kernel = svm.KernelSpec("gaussian", sigma=svm.median_pairwise_distance(X))
+    else:
+        kernel = svm.KernelSpec("linear" if exp_id == 1 else "polynomial")
+    head = {"experiment": exp_id, "kernel": kernel.describe(), "config": config.snapshot(kernel)}
+
+    def cv(data: list[svm.LabeledPoint]) -> svm.CvResult:
+        return svm.kfold_cross_validate(
+            data, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
         )
 
+    if exp_id == 1:
+        folds = cv(points)
+        return ExperimentResult(**head, accuracies={"cv_mean": folds.mean_accuracy},
+                                fold_accuracies=folds.fold_accuracies)
     if exp_id == 2:
-        points = build_experiment2(m)
-        X = np.stack([p.features for p in points])
-        labels = [p.label for p in points]
-        kernel = config.kernel or svm.KernelSpec(
-            "gaussian", sigma=svm.median_pairwise_distance(X)
-        )
         n_train = max(1, round(len(points) * 2 / 3))
         train_idx, test_idx = svm.stratified_split(labels, n_train, config.seed)
         train_pts = [points[i] for i in train_idx]
@@ -391,33 +400,13 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
             "test": svm.accuracy(model.predict(X[test_idx]), [labels[i] for i in test_idx]),
             "full": svm.accuracy(model.predict(X), labels),
         }
-        return ExperimentResult(
-            experiment=2,
-            kernel=kernel.describe(),
-            accuracies=acc,
-            config=config.snapshot(kernel),
-        )
-
-    if exp_id == 3:
-        points = build_experiment3(m)
-        kernel = config.kernel or svm.KernelSpec("polynomial")
-        pairwise: dict[tuple[str, str], float] = {}
-        for a, b in itertools.combinations(NON_NEUTRAL, 2):
-            subset = [p for p in points if p.label in (a, b)]
-            cv = svm.kfold_cross_validate(
-                subset, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
-            )
-            pairwise[(a, b)] = cv.mean_accuracy
-        mean_acc = float(np.mean(list(pairwise.values())))
-        return ExperimentResult(
-            experiment=3,
-            kernel=kernel.describe(),
-            accuracies={"pairwise_mean": mean_acc},
-            pairwise=pairwise,
-            config=config.snapshot(kernel),
-        )
-
-    raise DatasetError(f"unknown experiment id: {exp_id}")
+        return ExperimentResult(**head, accuracies=acc)
+    pairwise: dict[tuple[str, str], float] = {}
+    for a, b in itertools.combinations(NON_NEUTRAL, 2):
+        subset = [p for p in points if p.label in (a, b)]
+        pairwise[(a, b)] = cv(subset).mean_accuracy
+    mean_acc = float(np.mean(list(pairwise.values())))
+    return ExperimentResult(**head, accuracies={"pairwise_mean": mean_acc}, pairwise=pairwise)
 
 
 def pairwise_table_csv(pairwise: dict[tuple[str, str], float]) -> str:

@@ -77,6 +77,9 @@ def _row_correlations(x: np.ndarray) -> np.ndarray:
     if x.shape[1] < 2:
         raise StatsError("need at least 2 points")
     x = np.ascontiguousarray(x)  # so each row sum adds pairwise, as a 1-D sum does
+    # Each row scaled by a power of two (exact) to magnitudes below 1, so no
+    # sum below overflows; r does not change under a positive scale.
+    x = np.ldexp(x, -np.frexp(np.abs(x).max(axis=1, keepdims=True))[1])
     d = x - x.mean(axis=1, keepdims=True)
     var = (d * d).sum(axis=1)
     if np.any(var == 0.0):
@@ -166,13 +169,14 @@ def summarize(values: Sequence[float]) -> BoxplotSummary:
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     outliers = tuple(float(v) for v in np.sort(x[(x < lo) | (x > hi)]))
+    exponent = np.frexp(np.abs(x).max())[1]  # scaled as in _row_correlations, so its sum cannot overflow
     return BoxplotSummary(
         minimum=float(x.min()),
         q1=float(q1),
         median=float(med),
         q3=float(q3),
         maximum=float(x.max()),
-        mean=float(x.mean()),
+        mean=float(np.ldexp(np.ldexp(x, -exponent).mean(), exponent)),
         outliers=outliers,
     )
 

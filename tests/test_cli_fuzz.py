@@ -106,9 +106,21 @@ def tables(draw) -> bytes:
     return text[:draw(st.integers(0, len(text)))] if draw(st.booleans()) else text
 
 
+def edited_table(*edits: tuple[int, int, str]) -> bytes:
+    """table_rows(3) with each (line, cell, text) edit; line 1 is actor 1, cell 2 the first audio."""
+    rows = table_rows(3)
+    for line, cell, text in edits:
+        rows[line][cell] = text
+    return "\n".join(",".join(row) for row in rows).encode()
+
+
 @fuzz
 @given(table=tables(), command=st.sampled_from([["stats"], ["experiment", "3"], ["experiment", "2"]]))
 @example(table=b"actor_id,sex,\xff\n", command=["stats"])
+@example(table=edited_table((1, 2, "1e200")), command=["stats"])
+# Actor 1's row mean and the first column's mean overflow when summed unscaled.
+@example(table=edited_table((1, 2, "1e308"), (1, 3, "1e308"), (2, 2, "1e308"), (3, 2, "1e308")),
+         command=["stats"])
 @example(table=b"actor_id,sex," + b"x" * 131_073 + b"\n", command=["experiment", "3"])
 def test_malformed_entropy_table(table, command):
     run({"t.csv": table}, command + ["@t.csv"])

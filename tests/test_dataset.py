@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix
-from entropic import dataset
+from click.testing import CliRunner
+
+from entropic import dataset, svm
+from entropic.cli import main
 from entropic.errors import DatasetError
 from entropic.stats import EntropyMatrix, missing_cells, require_complete
 from entropic.svm import KernelSpec
 from entropic.dataset import (
     EMOTIONS,
     ExperimentConfig,
+    ExperimentResult,
     RecordingMeta,
     NON_NEUTRAL,
     audio_columns,
@@ -563,6 +567,68 @@ def reference_snapshot(config: ExperimentConfig, effective_kernel: KernelSpec) -
     }
 
 
+def reference_run_experiment(exp_id, m, config=ExperimentConfig()) -> ExperimentResult:
+    """run_experiment as it was before experiment_points, with one branch per
+    experiment that picks its builder, default kernel and result head."""
+    if exp_id == 1:
+        points = build_experiment1(m)
+        kernel = config.kernel or svm.KernelSpec("linear")
+        cv = svm.kfold_cross_validate(
+            points, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
+        )
+        return ExperimentResult(
+            experiment=1,
+            kernel=kernel.describe(),
+            accuracies={"cv_mean": cv.mean_accuracy},
+            fold_accuracies=cv.fold_accuracies,
+            config=config.snapshot(kernel),
+        )
+
+    if exp_id == 2:
+        points = build_experiment2(m)
+        X = np.stack([p.features for p in points])
+        labels = [p.label for p in points]
+        kernel = config.kernel or svm.KernelSpec(
+            "gaussian", sigma=svm.median_pairwise_distance(X)
+        )
+        n_train = max(1, round(len(points) * 2 / 3))
+        train_idx, test_idx = svm.stratified_split(labels, n_train, config.seed)
+        train_pts = [points[i] for i in train_idx]
+        model = svm.train_multiclass(train_pts, kernel, C=config.C, tol=config.tol)
+        acc = {
+            "train": svm.accuracy(model.predict(X[train_idx]), [labels[i] for i in train_idx]),
+            "test": svm.accuracy(model.predict(X[test_idx]), [labels[i] for i in test_idx]),
+            "full": svm.accuracy(model.predict(X), labels),
+        }
+        return ExperimentResult(
+            experiment=2,
+            kernel=kernel.describe(),
+            accuracies=acc,
+            config=config.snapshot(kernel),
+        )
+
+    if exp_id == 3:
+        points = build_experiment3(m)
+        kernel = config.kernel or svm.KernelSpec("polynomial")
+        pairwise: dict[tuple[str, str], float] = {}
+        for a, b in itertools.combinations(NON_NEUTRAL, 2):
+            subset = [p for p in points if p.label in (a, b)]
+            cv = svm.kfold_cross_validate(
+                subset, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
+            )
+            pairwise[(a, b)] = cv.mean_accuracy
+        mean_acc = float(np.mean(list(pairwise.values())))
+        return ExperimentResult(
+            experiment=3,
+            kernel=kernel.describe(),
+            accuracies={"pairwise_mean": mean_acc},
+            pairwise=pairwise,
+            config=config.snapshot(kernel),
+        )
+
+    raise DatasetError(f"unknown experiment id: {exp_id}")
+
+
 def random_entropy_matrix(seed: int, n_actors: int):
     rng = np.random.default_rng(seed)
     return make_matrix(rng.normal(8.0, rng.uniform(1e-3, 3.0), (n_actors, 60)))
@@ -606,6 +672,21 @@ class TestMatchesReference:
         got, want = config.snapshot(kernel), reference_snapshot(config, kernel)
         assert got == want
         assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
+
+    # Experiment 3 takes about 33 s at 24 actors on weak-signal data, so 3 to 6
+    # actors. The degree-3 polynomial leaves out experiment 1: its 1-D fits
+    # crawl, 20 to 55 s per run here.
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("config,exp_ids", [
+        (ExperimentConfig(), (1, 2, 3)),
+        (ExperimentConfig(seed=13, k=3, C=0.1, tol=1e-4), (1, 2, 3)),
+        (ExperimentConfig(kernel=KernelSpec("polynomial", degree=3, offset=0.0)), (2, 3)),
+    ], ids=["default", "seed13-k3-C0.1", "polynomial-d3-c0"])
+    def test_run_experiment(self, seed, config, exp_ids):
+        m = random_entropy_matrix(seed, n_actors=3 + seed)
+        for exp_id in exp_ids:
+            got, want = run_experiment(exp_id, m, config), reference_run_experiment(exp_id, m, config)
+            assert got.to_json() == want.to_json(), exp_id
 
 
 class TestExperimentBuilders:
@@ -671,6 +752,24 @@ class TestRunExperiment:
     def test_unknown_id_rejected(self, random_matrix):
         with pytest.raises(DatasetError):
             run_experiment(4, random_matrix)
+
+    def test_builders_are_looked_up_at_call_time(self, monkeypatch, tmp_path, separable_matrix):
+        """A builder wrapped at the module attribute, as a tracer wraps it, is
+        the one that experiment and kernels run."""
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return build_experiment2(m)
+
+        monkeypatch.setattr(dataset, "build_experiment2", counted)
+        run_experiment(2, separable_matrix)
+        assert len(calls) == 1
+        table = tmp_path / "t.csv"
+        table.write_text(entropy_table_csv(separable_matrix))
+        result = CliRunner().invoke(main, ["kernels", "2", str(table), "--k", "3"])
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2
 
     def test_result_json_round_trip(self, separable_matrix):
         result = run_experiment(3, separable_matrix, ExperimentConfig(seed=0, k=3))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,20 @@ class TestCorrelationMatrix:
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
 
+    def test_row_scaled_by_a_power_of_two_keeps_every_bit(self):
+        """An actor's entropies far from the others give their true
+        correlations: no overflow, no underflow, and no warning."""
+        values = np.random.default_rng(8).normal(8.0, 0.1, (3, 60))
+        m = make_matrix(values)
+        want = correlation_csv(correlation_matrix(m), m.actor_meta)
+        for k in range(-900, 901):
+            scaled = values.copy()
+            scaled[1] *= 2.0 ** k
+            m = make_matrix(scaled)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert correlation_csv(correlation_matrix(m), m.actor_meta) == want, k
+
     def test_too_short_rows_rejected_like_reference(self):
         m = any_shape_matrix(np.array([[1.0], [2.0]]))
         for fn in (correlation_matrix, reference_correlation_matrix):
@@ -228,6 +244,11 @@ class TestBoxplot:
         iqr = s.q3 - s.q1
         for o in s.outliers:
             assert o < s.q1 - 1.5 * iqr or o > s.q3 + 1.5 * iqr
+
+    def test_mean_of_huge_cells_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert summarize([1e308, 1e308, 1e308, 8.0]).mean == 7.5e307
 
     def test_ordering_chain(self):
         rng = np.random.default_rng(4)
