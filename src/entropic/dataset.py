@@ -395,11 +395,9 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
         train_idx, test_idx = svm.stratified_split(labels, n_train, config.seed)
         train_pts = [points[i] for i in train_idx]
         model = svm.train_multiclass(train_pts, kernel, C=config.C, tol=config.tol)
-        acc = {
-            "train": svm.accuracy(model.predict(X[train_idx]), [labels[i] for i in train_idx]),
-            "test": svm.accuracy(model.predict(X[test_idx]), [labels[i] for i in test_idx]),
-            "full": svm.accuracy(model.predict(X), labels),
-        }
+        predicted = model.predict(X)  # each row's prediction does not depend on the other rows
+        acc = {name: svm.accuracy([predicted[i] for i in idx], [labels[i] for i in idx])
+               for name, idx in (("train", train_idx), ("test", test_idx), ("full", range(len(labels))))}
         return ExperimentResult(**head, accuracies=acc)
     pairwise: dict[tuple[str, str], float] = {}
     for a, b in itertools.combinations(NON_NEUTRAL, 2):
@@ -467,7 +465,7 @@ def read_entropy_table(path) -> EntropyMatrix:
         seen[actor.actor_id] = lineno
         actors.append(actor)
     return EntropyMatrix(
-        values=np.array(values, dtype=np.float64),
+        values=values,
         actor_meta=tuple(actors),
         audio_meta=columns,
     )

@@ -35,7 +35,7 @@ _ABOVE = np.iinfo(np.int64).max  # a sentinel above every order key
 class Barcode:
     """Bars [births[i], deaths[i]) plus the maximum filtration value.
 
-    ``births`` and ``deaths`` are read-only float64 arrays of equal length;
+    ``births`` and ``deaths`` are read-only float64 copies of equal length;
     the essential bar's death is INFINITE.
     """
 
@@ -44,8 +44,8 @@ class Barcode:
     f_max: float
 
     def __post_init__(self) -> None:
-        births = np.asarray(self.births, dtype=np.float64)
-        deaths = np.asarray(self.deaths, dtype=np.float64)
+        births = np.array(self.births, dtype=np.float64)
+        deaths = np.array(self.deaths, dtype=np.float64)
         if births.ndim != 1 or births.shape != deaths.shape:
             raise BarcodeError("births and deaths must be 1-D arrays of equal length")
         bad = (deaths != INFINITE) & (deaths <= births)

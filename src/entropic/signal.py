@@ -24,7 +24,7 @@ class Signal:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)  # a copy: the caller's array stays writable
         if samples.ndim != 1 or samples.size == 0:
             raise SignalError("signal must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
@@ -50,7 +50,7 @@ class CanonicalSignal:
 
     def __post_init__(self) -> None:
         for name in ("samples", "key"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -39,7 +39,7 @@ class EntropyMatrix:
     audio_meta: tuple[AudioInfo, ...]
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 2:
             raise StatsError("entropy matrix must be 2-D")
         if values.shape[0] != len(self.actor_meta) or values.shape[1] != len(self.audio_meta):
@@ -165,18 +165,22 @@ def summarize(values: Sequence[float]) -> BoxplotSummary:
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         raise StatsError("cannot summarize an empty group")
-    q1, med, q3 = _quartiles(x)
+    # Scaled down by a power of two (exact) only as far as keeps the sum of
+    # |x| below 2^1023, so that no sum or fence overflows, and each figure
+    # scaled back; no further, so that a cell far below the others keeps its bits.
+    exponent = max(int(np.frexp(np.abs(x).max())[1]) + x.size.bit_length() - 1023, 0)
+    scaled = np.ldexp(x, -exponent)
+    q1, med, q3 = _quartiles(scaled)
     iqr = q3 - q1
     lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = tuple(float(v) for v in np.sort(x[(x < lo) | (x > hi)]))
-    exponent = np.frexp(np.abs(x).max())[1]  # scaled as in _row_correlations, so its sum cannot overflow
+    outliers = tuple(float(v) for v in np.sort(x[(scaled < lo) | (scaled > hi)]))
     return BoxplotSummary(
         minimum=float(x.min()),
-        q1=float(q1),
-        median=float(med),
-        q3=float(q3),
+        q1=math.ldexp(q1, exponent),
+        median=math.ldexp(med, exponent),
+        q3=math.ldexp(q3, exponent),
         maximum=float(x.max()),
-        mean=float(np.ldexp(np.ldexp(x, -exponent).mean(), exponent)),
+        mean=math.ldexp(scaled.mean(), exponent),
         outliers=outliers,
     )
 

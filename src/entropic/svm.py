@@ -100,30 +100,28 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return np.exp(-sq / (2.0 * spec.sigma**2))
 
 
-@dataclass(frozen=True)
-class LabeledPoint:
-    """Feature vector with a class label."""
+class LabeledPoint(NamedTuple):
+    """Feature vector (or scalar) with a class label; _stack checks it when it is trained on."""
 
     features: np.ndarray
     label: object
 
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(feats)):
-            raise TrainingError("non-finite feature value")
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-
 
 def _stack(data: Sequence[LabeledPoint]) -> tuple[np.ndarray, list]:
+    """The points' flattened features as the rows of a new float64 X, and their labels.
+
+    The one check of feature values: some points, one feature dimension, every value finite.
+    """
     if not data:
         raise TrainingError("empty dataset")
-    dims = {p.features.size for p in data}
+    rows = [np.asarray(p.features, dtype=np.float64).reshape(-1) for p in data]
+    dims = {row.size for row in rows}
     if len(dims) != 1:
         raise TrainingError(f"inconsistent feature dimensions: {sorted(dims)}")
-    X = np.stack([p.features for p in data])
-    labels = [p.label for p in data]
-    return X, labels
+    X = np.stack(rows)
+    if not np.isfinite(X).all():
+        raise TrainingError("non-finite feature value")
+    return X, [p.label for p in data]
 
 
 class _Problem(NamedTuple):
@@ -174,8 +172,8 @@ class SvmModel:
     dual: np.ndarray | None = field(default=None, repr=False, compare=False)
     f: np.ndarray | None = field(default=None, repr=False, compare=False)
     # The problem train_binary set up, Gram matrix included, which a start
-    # on the same points and kernel reuses; _binary_path drops it at the end
-    # of its path, so that the models it returns stay small.
+    # on the same points and kernel reuses; _one_vs_one_path drops it at the
+    # end of each pair's path, so that the models it returns stay small.
     _problem: _Problem | None = field(default=None, init=False, repr=False, compare=False)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
@@ -363,31 +361,27 @@ def train_multiclass(
     return _one_vs_one_path(data, kernel, (C,), tol)[0]
 
 
-def _binary_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[float],
-                 tol: float) -> list[SvmModel]:
-    """One binary model per C, fitted in the order given.
-
-    Each fit starts from the previous one's dual solution when C did not
-    decrease, since every alpha <= the previous C <= C; otherwise from 0.
-    """
-    models: list[SvmModel] = []
-    for i, C in enumerate(Cs):
-        start = models[-1] if i and Cs[i - 1] <= C else None
-        models.append(train_binary(data, kernel, C=C, tol=tol, start=start))
-    for model in models:
-        object.__setattr__(model, "_problem", None)
-    return models
-
-
 def _one_vs_one_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[float],
                      tol: float) -> list[MulticlassModel]:
-    """One one-vs-one ensemble per C; each class pair is fitted along Cs."""
-    _, labels = _stack(data)
-    classes = _sorted_classes(labels)
+    """One one-vs-one ensemble per C.
+
+    Each class pair is fitted along Cs in the order given, each fit starting
+    from the previous one's dual solution when C did not decrease, since
+    every alpha <= the previous C <= C; otherwise from 0.
+    """
+    classes = _sorted_classes([p.label for p in data])
     if len(classes) < 2:
         raise TrainingError("multiclass training needs at least 2 classes")
-    paths = [_binary_path([p for p in data if p.label in pair], kernel, Cs, tol)
-             for pair in itertools.combinations(classes, 2)]
+    paths = []
+    for pair in itertools.combinations(classes, 2):
+        pair_data = [p for p in data if p.label in pair]
+        models: list[SvmModel] = []
+        for i, C in enumerate(Cs):
+            start = models[-1] if i and Cs[i - 1] <= C else None
+            models.append(train_binary(pair_data, kernel, C=C, tol=tol, start=start))
+        for model in models:
+            object.__setattr__(model, "_problem", None)
+        paths.append(models)
     return [MulticlassModel(classes=tuple(classes), models=models) for models in zip(*paths)]
 
 

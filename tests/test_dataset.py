@@ -737,6 +737,12 @@ class TestRunExperiment:
             assert 0.0 <= v <= 1.0
         assert result.kernel.startswith("gaussian")
 
+    def test_exp2_predicts_every_point_once(self, monkeypatch, random_matrix):
+        predict, rows = svm.MulticlassModel.predict, []
+        monkeypatch.setattr(svm.MulticlassModel, "predict", lambda model, X: rows.append(len(X)) or predict(model, X))
+        run_experiment(2, random_matrix)
+        assert rows == [60]
+
     def test_exp3_pairwise_table(self, separable_matrix):
         result = run_experiment(3, separable_matrix, ExperimentConfig(seed=0))
         assert len(result.pairwise) == 21

@@ -37,6 +37,13 @@ class TestBarcode:
         with pytest.raises(ValueError):
             b.births[0] = 5.0
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        births, deaths = np.array([0.0, 1.0]), np.array([INFINITE, 2.0])
+        b = Barcode(births=births, deaths=deaths, f_max=2.0)
+        assert births.flags.writeable and deaths.flags.writeable
+        births[0], deaths[1] = 5.0, 6.0
+        assert b.as_multiset() == ((0.0, INFINITE), (1.0, 2.0))
+
     @pytest.mark.parametrize("deaths", [[INFINITE, 1.0], [INFINITE, 0.5]])
     def test_finite_death_must_exceed_birth(self, deaths):
         with pytest.raises(BarcodeError, match="must exceed birth 1.0"):

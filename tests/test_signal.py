@@ -5,7 +5,7 @@ import pytest
 from scipy.io import wavfile
 
 from entropic.errors import SignalError
-from entropic.signal import Signal, canonicalize, load_csv_signal, load_wav, subsample
+from entropic.signal import CanonicalSignal, Signal, canonicalize, load_csv_signal, load_wav, subsample
 
 
 def _reference_normalize_int(frames, max_magnitude):
@@ -141,6 +141,13 @@ class TestSignal:
         s = Signal(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             s.samples[0] = 5.0
+
+    def test_caller_array_stays_writable_and_apart(self):
+        a = np.zeros(5)
+        s = Signal(a)
+        assert a.flags.writeable
+        a[0] = 7.0
+        assert s.samples[0] == 0.0
 
 
 class TestLoadWav:
@@ -458,6 +465,15 @@ class TestSubsample:
 
 
 class TestCanonicalize:
+    def test_caller_arrays_stay_writable_and_apart(self):
+        samples, key = np.array([2.0, 1.0]), np.array([2, 1])
+        c = CanonicalSignal(samples=samples, key=key)
+        assert samples.flags.writeable and key.flags.writeable
+        samples[0], key[0] = 9.0, 9
+        assert (c.samples[0], c.key[0]) == (2.0, 2)
+        with pytest.raises(ValueError):
+            c.key[0] = 9
+
     def test_ties_broken_by_index(self):
         c = canonicalize(Signal(np.array([1.0, 1.0, 2.0])))
         assert list(key_order(c)) == [0, 1, 2]

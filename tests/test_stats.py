@@ -225,6 +225,17 @@ class TestSexGroupedMeans:
             sex_grouped_correlation_means(corr, ["male", "female"])
 
 
+class TestEntropyMatrix:
+    def test_caller_array_stays_writable_and_apart(self):
+        values = np.ones((2, 60))
+        m = make_matrix(values)
+        assert values.flags.writeable
+        values[0, 0] = 5.0
+        assert m.values[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            m.values[0, 0] = 5.0
+
+
 class TestBoxplot:
     def test_constant_column(self):
         s = summarize([3.0] * 10)
@@ -249,6 +260,34 @@ class TestBoxplot:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert summarize([1e308, 1e308, 1e308, 8.0]).mean == 7.5e307
+
+    def test_opposite_cells_at_the_float64_limit(self):
+        """Two actors with -1e308 and 1e308 in one column: before, q1 read
+        inf, the median and q3 -inf, and both cells were outliers."""
+        values = np.random.default_rng(12).normal(8.0, 0.1, (2, 60))
+        values[:, 0] = [-1e308, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lines = boxplot_csv(boxplot_by_audio(make_matrix(values))).splitlines()
+        assert lines[1] == "neutral-normal-1-1,neutral,-1e+308,-5e+307,0.0,5e+307,1e+308,0.0,"
+
+    def test_columns_near_the_float64_limit_match_np_quantile_scaled(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            x = rng.uniform(-1.0, 1.0, int(rng.integers(1, 70))) * np.finfo(np.float64).max
+            q1, med, q3 = np.quantile(x / 8.0, [0.25, 0.5, 0.75]) * 8.0  # exact scaling, no overflow
+            iqr = q3 / 8.0 - q1 / 8.0
+            outside = (x / 8.0 < q1 / 8.0 - 1.5 * iqr) | (x / 8.0 > q3 / 8.0 + 1.5 * iqr)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                s = summarize(x)
+            assert (s.q1, s.median, s.q3) == (q1, med, q3)
+            assert s.outliers == tuple(np.sort(x[outside]).tolist())
+            assert np.isfinite(s.mean)
+
+    def test_cell_far_below_the_others_keeps_its_bits(self):
+        s = summarize([1e-300, 1e-300, 3e-300, 1e300])
+        assert (s.minimum, s.q1, s.median) == (1e-300, 1e-300, 2e-300)
 
     def test_ordering_chain(self):
         rng = np.random.default_rng(4)

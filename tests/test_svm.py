@@ -412,7 +412,8 @@ class TestWarmStart:
         tol = 1e-3
         converged = 0
         for data, kernel in warm_start_problems():
-            models = svm._binary_path(data, kernel, DEFAULT_C_GRID, tol)
+            path = svm._one_vs_one_path(data, kernel, DEFAULT_C_GRID, tol)  # one class pair
+            models = [ensemble.models[0] for ensemble in path]
             for C, model in zip(DEFAULT_C_GRID, models):
                 gap = recovered_kkt_gap(model, data, C)
                 assert gap == pytest.approx(model.kkt_gap, abs=1e-9)
@@ -619,6 +620,10 @@ class TestMulticlass:
         with pytest.raises(TrainingError):
             train_multiclass([LabeledPoint(np.array([0.0]), "A")] * 4, KernelSpec("linear"))
 
+    def test_empty_rejected(self):
+        with pytest.raises(TrainingError):
+            train_multiclass([], KernelSpec("linear"))
+
     def test_gaussian_rescaling_keeps_predictions(self):
         X, labels = make_blobs(seed=6, n_per_class=30)
         data = points_from(X, labels)
@@ -627,6 +632,63 @@ class TestMulticlass:
         with scaled_kernel(7.3):
             scaled = train_binary(data, KernelSpec("gaussian", sigma=2.0), C=10.0).predict(test)
         assert scaled == base
+
+
+ENTRY_POINTS = {
+    "train_binary": lambda data: train_binary(data, KernelSpec("linear")),
+    "train_multiclass": lambda data: train_multiclass(data, KernelSpec("linear")),
+    "kfold_cross_validate": lambda data: kfold_cross_validate(data, KernelSpec("linear"), k=2),
+    "select_best_kernel": lambda data: select_best_kernel(data, [KernelSpec("linear")], Cs=(1.0,), k=2),
+}
+
+
+def model_bits(model) -> list[bytes]:
+    """Every array and number a binary model or one-vs-one ensemble holds, as bytes."""
+    models = getattr(model, "models", (model,))
+    return [np.asarray(v, dtype=np.float64).tobytes() for m in models
+            for v in (m.support_vectors, m.alpha, m.bias, m.dual, m.f, m.kkt_gap)]
+
+
+class TestFeatureCheck:
+    """LabeledPoint is a plain pair; the features are checked where they are stacked for training."""
+
+    def test_point_is_a_plain_pair(self):
+        f = np.ones(3)
+        p = LabeledPoint(f, "x")
+        assert p.features is f and tuple(p) == (f, "x")
+        assert f.flags.writeable
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("when", ["built", "written"])
+    def test_non_finite_feature_is_refused(self, entry, value, when):
+        X, labels = make_blobs(seed=9, n_per_class=4)
+        data = points_from(X, labels)
+        if when == "built":
+            data[5] = LabeledPoint(np.array([value, 0.0]), data[5].label)
+        else:
+            X[5, 1] = value  # point 5 holds a view of this row
+        with pytest.raises(TrainingError, match="^non-finite feature value$"):
+            ENTRY_POINTS[entry](data)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_inconsistent_dimensions_are_refused(self, entry):
+        X, labels = make_blobs(seed=9, n_per_class=4)
+        data = points_from(X, labels)
+        data[6] = LabeledPoint(np.ones(3), data[6].label)
+        with pytest.raises(TrainingError, match=r"^inconsistent feature dimensions: \[2, 3\]$"):
+            ENTRY_POINTS[entry](data)
+
+    def test_scalar_and_list_features_train_as_arrays(self):
+        X, labels = make_blobs(seed=10, n_per_class=6, centers=((0.0, 0.0), (1.0, 1.0), (0.0, 2.0)))
+        as_lists = [LabeledPoint(x.tolist(), lab) for x, lab in zip(X, labels)]
+        as_scalars = [LabeledPoint(float(x[0]), lab) for x, lab in zip(X, labels)]
+        for data, want in ((as_lists, points_from(X, labels)), (as_scalars, points_from(X[:, :1], labels))):
+            for fit in (lambda d: train_binary(d[:12], KernelSpec("linear"), C=10.0),  # classes A and B
+                        lambda d: train_multiclass(d, KernelSpec("polynomial"))):
+                assert model_bits(fit(data)) == model_bits(fit(want))
+            assert kfold_cross_validate(data, KernelSpec("linear"), k=3) == \
+                kfold_cross_validate(want, KernelSpec("linear"), k=3)
 
 
 class TestAccuracy:
@@ -1031,6 +1093,15 @@ def reference_predict(model, X) -> list:
     return out
 
 
+def reference_binary_path(data, kernel, Cs, tol) -> list[SvmModel]:
+    """One binary model per C, each warm-started from the previous one where C did not decrease."""
+    models: list[SvmModel] = []
+    for i, C in enumerate(Cs):
+        start = models[-1] if i and Cs[i - 1] <= C else None
+        models.append(train_binary(data, kernel, C=C, tol=tol, start=start))
+    return models
+
+
 def reference_cv_path(data, kernel, Cs, tol, k, seed) -> list[svm.CvResult]:
     X, labels = _stack(data)
     folds = stratified_folds(labels, k, seed)
@@ -1042,7 +1113,7 @@ def reference_cv_path(data, kernel, Cs, tol, k, seed) -> list[svm.CvResult]:
         test_mask[fold] = True
         train_pts = [p for p, held in zip(data, test_mask) if not held]
         truth = [labels[i] for i in fold]
-        path = (svm._binary_path if binary else svm._one_vs_one_path)(train_pts, kernel, Cs, tol)
+        path = (reference_binary_path if binary else svm._one_vs_one_path)(train_pts, kernel, Cs, tol)
         for c, model in enumerate(path):
             accs[c].append(accuracy(model.predict(X[test_mask]), truth))
             fits[c] += [(m.iterations, m.kkt_gap, m.converged) for m in ((model,) if binary else model.models)]
