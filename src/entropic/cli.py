@@ -22,8 +22,6 @@ names it once.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -113,20 +111,16 @@ def main() -> None:
                      *_SIGNAL_OPTIONS])
 def entropy(inputs, target_len, out_dir) -> None:
     """Compute persistent entropy for each input WAV/CSV signal."""
-    text = io.StringIO()
-    rows = csv.writer(text, lineterminator="\n")  # quotes a path with a comma, quote or newline
-    rows.writerow(["path", "samples", "subsampled_to", "bars", "entropy"])
-    failed = False
+    rows = [["path", "samples", "subsampled_to", "bars", "entropy"]]
     for path in inputs:
         try:
             s = _load_signal(path)
             b = signal_barcode(s, target_len)
-            rows.writerow([path, len(s), min(target_len, len(s)), len(b), persistent_entropy(b)])
+            rows.append([path, len(s), min(target_len, len(s)), len(b), persistent_entropy(b)])
         except EntropicError as exc:
             click.echo(f"error: {ds.file_error(path, exc)}", err=True)
-            failed = True
-    _write(out_dir, "entropy.csv", text.getvalue())
-    if failed:
+    _write(out_dir, "entropy.csv", st.csv_text(rows))
+    if len(rows) <= len(inputs):  # the header and a row per input that did not fail
         sys.exit(1)
 
 
@@ -148,8 +142,8 @@ def _load_matrix(source: str, target_len: int, jobs: int) -> st.EntropyMatrix:
         records = ds.scan_ravdess_tree(path)
     elif path.suffix == ".csv" and path.exists():
         with open(path, encoding="utf-8-sig", errors="replace") as fh:  # the readers report bad UTF-8
-            first = fh.readline()
-        if first.startswith("actor_id,sex,"):
+            first = next((line for line in fh if line != "\n"), "")  # the readers skip blank lines
+        if first.rstrip("\n").split(",")[:2] == ["actor_id", "sex"]:  # read_entropy_table's test
             return ds.read_entropy_table(path)
         records = ds.parse_manifest(path)
     else:

@@ -24,7 +24,7 @@ from . import svm
 from .errors import DatasetError, SignalError
 from .signal import DEFAULT_TARGET_LEN, load_csv_signal, load_wav
 from .persistence import signal_entropy
-from .stats import ActorInfo, AudioInfo, EntropyMatrix, require_complete
+from .stats import ActorInfo, AudioInfo, EntropyMatrix, csv_text, require_complete
 
 EMOTIONS = ("neutral", "calm", "happy", "sad", "angry", "fearful", "disgust", "surprised")
 # The classes of experiment 3; see build_experiment3 for why neutral is not one.
@@ -34,6 +34,10 @@ N_ACTORS = 24
 
 _EMOTION_CODE = {i + 1: name for i, name in enumerate(EMOTIONS)}
 _RAVDESS_NAME = re.compile(r"^(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})-(\d{2})\.wav$")
+# The first four fields of a RAVDESS name: each one's name, the codes of the
+# audio-only speech recordings this corpus holds, and those codes in words.
+_CODES = (("modality", {3}, "03 (audio-only)"), ("vocal channel", {1}, "01 (speech)"),
+          ("emotion", _EMOTION_CODE, "01-08"), ("intensity", {1, 2}, "01 or 02"))
 
 
 def _check_actor(actor_id: int, sex: str) -> None:
@@ -93,19 +97,19 @@ _COLUMN_INDEX = {c: i for i, c in enumerate(audio_columns())}
 def parse_ravdess_filename(name: str) -> RecordingMeta:
     """Decode the 7-field hyphenated naming convention of the corpus.
 
-    Field 3 is the emotion code (01..08), field 4 the intensity, fields 5/6
-    statement and repetition, field 7 the actor (odd male, even female).
+    Fields 1 to 4 are coded as _CODES says: modality 03 and vocal channel 01
+    (audio-only speech), then emotion and intensity. Fields 5/6 are statement
+    and repetition, field 7 the actor (odd male, even female).
     """
     base = os.path.basename(str(name))
     match = _RAVDESS_NAME.match(base)
     if match is None:
         raise DatasetError(f"malformed recording name: {base!r}")
     fields = [int(g) for g in match.groups()]
+    for code, (field_name, codes, words) in zip(fields, _CODES):
+        if code not in codes:
+            raise DatasetError(f"{field_name} code {code:02d} is not {words} in {base!r}")
     emotion_code, intensity_code, statement, repetition, actor = fields[2:]
-    if emotion_code not in _EMOTION_CODE:
-        raise DatasetError(f"emotion code {emotion_code:02d} outside 01-08 in {base!r}")
-    if intensity_code not in (1, 2):
-        raise DatasetError(f"intensity code {intensity_code:02d} invalid in {base!r}")
     return RecordingMeta(
         path=str(name),
         actor_id=actor,
@@ -120,25 +124,33 @@ def parse_ravdess_filename(name: str) -> RecordingMeta:
 MANIFEST_HEADER = ["path", "actor_id", "sex", "emotion", "intensity", "statement", "repetition"]
 
 
-def parse_manifest(path) -> list[RecordingMeta]:
-    """Read a manifest CSV; a repeated coordinate is left to build_entropy_table."""
-    records = []
+def _read_csv(path, what: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header of a CSV file that may start with a UTF-8 BOM, and each
+    later row with the physical line it ends on; blank rows are skipped."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != MANIFEST_HEADER:
-                raise DatasetError(
-                    f"manifest header must be {','.join(MANIFEST_HEADER)}, got {reader.fieldnames}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    records.append(RecordingMeta(  # the fields in MANIFEST_HEADER order
-                        row["path"], int(row["actor_id"]), row["sex"], row["emotion"],
-                        row["intensity"], int(row["statement"]), int(row["repetition"])))
-                except (TypeError, ValueError, DatasetError) as exc:
-                    raise DatasetError(f"{path}:{lineno}: {exc}")
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DatasetError(f"cannot read manifest {path}: {exc}")
+        raise DatasetError(f"cannot read {what} {path}: {exc}")
+    return (rows[0][1] if rows else []), rows[1:]
+
+
+def parse_manifest(path) -> list[RecordingMeta]:
+    """Read a manifest CSV; a repeated coordinate is left to build_entropy_table."""
+    header, rows = _read_csv(path, "manifest")
+    if header != MANIFEST_HEADER:
+        raise DatasetError(f"manifest header must be {','.join(MANIFEST_HEADER)}, got {header}")
+    records = []
+    for lineno, row in rows:
+        try:
+            if len(row) != len(header):
+                raise DatasetError(f"expected {len(header)} fields, got {len(row)}")
+            file, actor, sex, emotion, intensity, statement, repetition = row
+            records.append(RecordingMeta(file, int(actor), sex, emotion, intensity,
+                                         int(statement), int(repetition)))
+        except (ValueError, DatasetError) as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}")
     return records
 
 
@@ -409,21 +421,16 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
 
 def pairwise_table_csv(pairwise: dict[tuple[str, str], float]) -> str:
     """Upper-triangular emotion-pair accuracy table as CSV."""
-    lines = ["emotion," + ",".join(NON_NEUTRAL[1:])]
-    for i, a in enumerate(NON_NEUTRAL[:-1]):
-        cells = [""] * i + [repr(pairwise[(a, b)]) for b in NON_NEUTRAL[i + 1:]]
-        lines.append(a + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text([["emotion", *NON_NEUTRAL[1:]],
+                     *([a, *[""] * i, *(pairwise[(a, b)] for b in NON_NEUTRAL[i + 1:])]
+                       for i, a in enumerate(NON_NEUTRAL[:-1]))])
 
 
 def entropy_table_csv(m: EntropyMatrix) -> str:
     """Entropy matrix as CSV; columns keyed emotion-intensity-statement-repetition."""
-    header = "actor_id,sex," + ",".join(meta.column_key() for meta in m.audio_meta)
-    lines = [header]
-    for actor, row in zip(m.actor_meta, m.values):
-        cells = ",".join("" if not np.isfinite(v) else repr(float(v)) for v in row)
-        lines.append(f"{actor.actor_id},{actor.sex},{cells}")
-    return "\n".join(lines) + "\n"
+    return csv_text([["actor_id", "sex", *(meta.column_key() for meta in m.audio_meta)],
+                     *([actor.actor_id, actor.sex, *(v if math.isfinite(v) else "" for v in row)]
+                       for actor, row in zip(m.actor_meta, m.values.tolist()))])
 
 
 def read_entropy_table(path) -> EntropyMatrix:
@@ -433,24 +440,20 @@ def read_entropy_table(path) -> EntropyMatrix:
     row a distinct actor as a manifest would. An empty cell is a missing
     entropy (NaN); any other cell must hold a finite number.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DatasetError(f"cannot read entropy table {path}: {exc}")
-    if not rows or rows[0][:2] != ["actor_id", "sex"]:
+    header, rows = _read_csv(path, "entropy table")
+    if header[:2] != ["actor_id", "sex"]:
         raise DatasetError(f"{path}: not an entropy table CSV")
     columns = tuple(audio_columns())
-    if rows[0][2:] != [c.column_key() for c in columns]:
+    if header[2:] != [c.column_key() for c in columns]:
         raise DatasetError(f"{path}: the columns after actor_id,sex must be the "
                            f"{len(columns)} audio columns in canonical order")
     actors = []
     values = []
     seen: dict[int, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(columns) + 2:
-            raise DatasetError(f"{path}:{lineno}: expected {len(columns) + 2} cells")
+    for lineno, row in rows:
         try:
+            if len(row) != len(header):
+                raise DatasetError(f"expected {len(header)} fields, got {len(row)}")
             actor = ActorInfo(int(row[0]), row[1])
             _check_actor(*actor)
             values.append([float(c) if c else math.nan for c in row[2:]])

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import BarcodeError
 from .signal import DEFAULT_TARGET_LEN, CanonicalSignal, Signal, canonicalize, subsample
+from .stats import csv_text
 
 INFINITE = math.inf
 
@@ -224,9 +225,5 @@ def signal_entropy(s: Signal, target_len: int = DEFAULT_TARGET_LEN) -> float:
 
 
 def barcode_to_csv(b: Barcode) -> str:
-    """Serialize a barcode as 'birth,death' lines, INFINITE as 'inf'."""
-    lines = ["birth,death"]
-    for birth, death in b.as_multiset():
-        death_str = "inf" if death == INFINITE else repr(death)
-        lines.append(f"{birth!r},{death_str}")
-    return "\n".join(lines) + "\n"
+    """Serialize a barcode as 'birth,death' lines; INFINITE is written 'inf'."""
+    return csv_text([("birth", "death"), *b.as_multiset()])

@@ -6,6 +6,8 @@ Tukey box-plot summaries per audio column.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -51,6 +53,14 @@ class EntropyMatrix:
     def complete(self) -> bool:
         """Whether every cell holds a finite entropy (a missing one is NaN)."""
         return bool(np.isfinite(self.values).all())
+
+
+def csv_text(rows) -> str:
+    """CSV text of rows of str, int and Python float cells, a float as repr
+    writes it; a field with a comma, quote or newline is quoted."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def missing_cells(m: EntropyMatrix) -> list[tuple[int, str]]:
@@ -193,26 +203,18 @@ def boxplot_by_audio(m: EntropyMatrix) -> list[tuple[AudioInfo, BoxplotSummary]]
 
 def correlation_csv(corr: np.ndarray, actors: Sequence[ActorInfo]) -> str:
     """Correlation matrix as CSV with actor ids on both axes."""
-    header = "actor," + ",".join(str(a.actor_id) for a in actors)
-    lines = [header]
-    for a, row in zip(actors, corr):
-        lines.append(str(a.actor_id) + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text([["actor", *(a.actor_id for a in actors)],
+                     *([a.actor_id, *row] for a, row in zip(actors, corr.tolist()))])
 
 
 def sex_means_csv(means: dict[tuple[str, str], float]) -> str:
-    lines = ["sex_a,sex_b,mean_correlation"]
-    for (ga, gb), value in sorted(means.items()):
-        lines.append(f"{ga},{gb},{value!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text([["sex_a", "sex_b", "mean_correlation"],
+                     *([ga, gb, value] for (ga, gb), value in sorted(means.items()))])
 
 
 def boxplot_csv(summaries: list[tuple[AudioInfo, BoxplotSummary]]) -> str:
-    lines = ["group,emotion,min,q1,median,q3,max,mean,outliers"]
-    for meta, s in summaries:
-        outliers = ";".join(repr(v) for v in s.outliers)
-        lines.append(
-            f"{meta.column_key()},{meta.emotion},{s.minimum!r},{s.q1!r},"
-            f"{s.median!r},{s.q3!r},{s.maximum!r},{s.mean!r},{outliers}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text([
+        ["group", "emotion", "min", "q1", "median", "q3", "max", "mean", "outliers"],
+        *([meta.column_key(), meta.emotion, s.minimum, s.q1, s.median, s.q3, s.maximum, s.mean,
+           ";".join(map(repr, s.outliers))] for meta, s in summaries),
+    ])

@@ -26,7 +26,8 @@ from entropic.dataset import (
     entropy_table_csv,
     read_entropy_table,
 )
-from entropic.signal import DEFAULT_TARGET_LEN
+from entropic.persistence import signal_entropy
+from entropic.signal import DEFAULT_TARGET_LEN, load_csv_signal
 from entropic.svm import KernelSpec, select_best_kernel
 
 
@@ -106,7 +107,7 @@ class TestEntropyCommand:
 
     def test_path_with_comma_or_quote_is_quoted(self, runner, sig_csv, tmp_path):
         odd = []
-        for name in ("a,b.csv", 'q"uote.csv'):
+        for name in ("a,b.csv", 'q"uote.csv', "new\nline.csv"):
             odd.append(tmp_path / "commadir" / name)
             odd[-1].parent.mkdir(exist_ok=True)
             odd[-1].write_bytes(sig_csv.read_bytes())
@@ -116,9 +117,12 @@ class TestEntropyCommand:
         plain = lines[1].split(",")[1:]
         assert lines[2] == ",".join([f'"{odd[0]}"', *plain])
         assert lines[3] == ",".join(['"' + str(odd[1]).replace('"', '""') + '"', *plain])
+        assert lines[4] == f'"{odd[2].parent}/new'  # the quoted field goes on to the next line
         rows = list(csv.reader(io.StringIO(result.output)))
         assert [row[0] for row in rows[1:]] == [str(sig_csv), *map(str, odd)]
         assert all(row[1:] == plain for row in rows[1:])
+        entropy = signal_entropy(load_csv_signal(str(sig_csv)))
+        assert float(plain[-1]).hex() == entropy.hex()  # read back bit for bit
 
     def test_one_sample_signal_has_entropy_zero(self, runner, tmp_path):
         p = tmp_path / "one.csv"
@@ -770,6 +774,19 @@ def test_readme_lists_every_option():
 
 
 BOM = b"\xef\xbb\xbf"  # as a spreadsheet's "CSV UTF-8" export starts a file
+
+
+@pytest.mark.parametrize("command", [["experiment", "1", "--C", "10"], ["stats"]], ids=["experiment", "stats"])
+def test_table_with_blank_lines_reads_as_without(runner, tmp_path, separable_matrix, command):
+    text = entropy_table_csv(make_matrix(separable_matrix.values[:4]))
+    header, rest = text.split("\n", 1)
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text(text)
+    blank.write_text(f"\n{header}\n\n{rest}\n")
+    want = runner.invoke(main, command[:2] + [str(plain)] + command[2:])
+    assert want.exit_code == 0, want.output
+    result = runner.invoke(main, command[:2] + [str(blank)] + command[2:])
+    assert (result.exit_code, result.output) == (0, want.output)
 
 
 @pytest.mark.parametrize("command", [["experiment", "3"], ["kernels", "2", "--k", "3"], ["stats"]],

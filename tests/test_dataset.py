@@ -75,6 +75,10 @@ class TestRecordingMeta:
         with pytest.raises(DatasetError):
             RecordingMeta("x.wav", 1, "male", "bored", "normal", 1, 1)
 
+    def test_unknown_sex(self):
+        with pytest.raises(DatasetError, match="^unknown sex: 'robot'$"):
+            RecordingMeta("x.wav", 1, "robot", "happy", "normal", 1, 1)
+
     def test_layout_membership_is_the_four_old_rules(self):
         emotions = (*EMOTIONS, "bored", "Happy")
         intensities = ("normal", "strong", "loud")
@@ -126,6 +130,18 @@ class TestParseRavdessFilename:
         with pytest.raises(DatasetError, match="emotion code"):
             parse_ravdess_filename("03-01-09-01-01-01-01.wav")
 
+    @pytest.mark.parametrize("name,message", [
+        ("01-01-03-01-01-01-01.wav", "modality code 01 is not 03 (audio-only)"),
+        ("02-01-03-01-01-01-01.wav", "modality code 02 is not 03 (audio-only)"),
+        ("03-02-03-01-01-01-01.wav", "vocal channel code 02 is not 01 (speech)"),
+        ("03-01-09-01-01-01-01.wav", "emotion code 09 is not 01-08"),
+        ("03-01-03-03-01-01-01.wav", "intensity code 03 is not 01 or 02"),
+    ], ids=["audio_video", "video_only", "song", "emotion", "intensity"])
+    def test_refused_code_is_named(self, name, message):
+        with pytest.raises(DatasetError) as err:
+            parse_ravdess_filename(name)
+        assert str(err.value) == f"{message} in {name!r}"
+
     def test_odd_actor_is_male(self):
         assert parse_ravdess_filename("03-01-03-01-01-01-11.wav").sex == "male"
 
@@ -150,6 +166,28 @@ class TestParseManifest:
         p.write_text("file,actor\na.wav,1\n")
         with pytest.raises(DatasetError, match="header"):
             parse_manifest(p)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("\n" + self.HEADER + "\r\n\na.wav,1,male,angry,strong,1,2\n\n")
+        assert parse_manifest(p) == [RecordingMeta("a.wav", 1, "male", "angry", "strong", 1, 2)]
+
+    @pytest.mark.parametrize("before", ["\n\n", '"a\nb.wav",1,male,angry,strong,1,2\n'],
+                             ids=["blank_lines", "two_line_row"])
+    def test_error_names_the_physical_line(self, tmp_path, before):
+        p = tmp_path / "m.csv"
+        p.write_text(self.HEADER + before + "c.wav,x,male,angry,strong,1,2\n")
+        with pytest.raises(DatasetError) as err:
+            parse_manifest(p)
+        assert str(err.value) == f"{p}:4: invalid literal for int() with base 10: 'x'"
+
+    @pytest.mark.parametrize("row", ["a.wav,1,male", "a.wav,1,male,angry,strong,1,2,extra"])
+    def test_row_must_have_seven_fields(self, tmp_path, row):
+        p = tmp_path / "m.csv"
+        p.write_text(self.HEADER + row + "\n")
+        with pytest.raises(DatasetError) as err:
+            parse_manifest(p)
+        assert str(err.value) == f"{p}:2: expected 7 fields, got {row.count(',') + 1}"
 
 
 class TestAudioColumns:
@@ -820,6 +858,26 @@ class TestEntropyTableCsv:
         with pytest.raises(DatasetError):
             read_entropy_table(p)
 
+    def test_blank_lines_are_skipped(self, random_matrix, tmp_path):
+        header, first, rest = entropy_table_csv(random_matrix).split("\n", 2)
+        path = tmp_path / "table.csv"
+        path.write_text(f"\n{header}\n{first}\n\n{rest}\n")
+        restored = read_entropy_table(path)
+        assert np.array_equal(restored.values, random_matrix.values)
+        assert restored.actor_meta == random_matrix.actor_meta
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda first: first + "\n\n" + first, "4: duplicate actor 1 (first seen at line 2)"),
+        (lambda first: first.rsplit(",", 1)[0], "2: expected 62 fields, got 61"),
+    ], ids=["duplicate_after_blank_line", "short_row"])
+    def test_error_names_the_physical_line(self, random_matrix, tmp_path, edit, message):
+        header, first, _ = entropy_table_csv(random_matrix).split("\n", 2)
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{edit(first)}\n")
+        with pytest.raises(DatasetError) as err:
+            read_entropy_table(path)
+        assert str(err.value) == f"{path}:{message}"
+
 
 class TestScanTree:
     def test_collects_named_wavs(self, tmp_path):
@@ -837,3 +895,20 @@ class TestScanTree:
     def test_empty_tree_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             scan_ravdess_tree(tmp_path)
+
+    def test_file_is_not_a_directory(self, tmp_path):
+        f = tmp_path / "03-01-03-01-01-01-01.wav"
+        f.write_bytes(b"")
+        with pytest.raises(DatasetError) as err:
+            scan_ravdess_tree(f)
+        assert str(err.value) == f"not a directory: {f}"
+
+    def test_song_beside_its_speech_recording_is_refused(self, tmp_path):
+        # Both names decode to actor 1's happy-normal-1-1 speech recording
+        # unless the vocal channel is read.
+        (tmp_path / "Actor_01").mkdir()
+        for name in ("03-01-03-01-01-01-01.wav", "03-02-03-01-01-01-01.wav"):
+            (tmp_path / "Actor_01" / name).write_bytes(b"")
+        with pytest.raises(DatasetError) as err:
+            scan_ravdess_tree(tmp_path)
+        assert str(err.value) == "vocal channel code 02 is not 01 (speech) in '03-02-03-01-01-01-01.wav'"

@@ -13,7 +13,7 @@ from entropic.persistence import (
     persistent_entropy,
     signal_entropy,
 )
-from entropic.signal import Signal, canonicalize
+from entropic.signal import CanonicalSignal, Signal, canonicalize
 
 
 def barcode_of(values):
@@ -77,8 +77,6 @@ class TestLowerStarBarcode:
         assert barcode_of([1, 2]).as_multiset() == ((1.0, INFINITE),)
 
     def test_empty_rejected(self):
-        from entropic.signal import CanonicalSignal
-
         empty = CanonicalSignal(samples=np.array([]), key=np.array([], dtype=np.int64))
         with pytest.raises(BarcodeError):
             lower_star_barcode(empty)
@@ -255,6 +253,11 @@ class TestOracle:
         with pytest.raises(BarcodeError):
             barcode_bruteforce_oracle(c)
 
+    def test_rejects_empty_signal(self):
+        empty = CanonicalSignal(samples=np.array([]), key=np.array([], dtype=np.int64))
+        with pytest.raises(BarcodeError, match="^empty signal$"):
+            barcode_bruteforce_oracle(empty)
+
 
 class TestPersistentEntropy:
     def test_single_bar_is_zero(self):
@@ -298,6 +301,12 @@ class TestPersistentEntropy:
     def test_empty_barcode_rejected(self):
         with pytest.raises(BarcodeError):
             persistent_entropy(Barcode(births=np.array([]), deaths=np.array([]), f_max=0.0))
+
+    def test_all_zero_lengths_rejected(self):
+        # Two essential bars closed at f_max + 1 = 0, where both are born.
+        b = Barcode(births=[0.0, 0.0], deaths=[INFINITE, INFINITE], f_max=-1.0)
+        with pytest.raises(BarcodeError, match="^all bar lengths are zero$"):
+            persistent_entropy(b)
 
     def test_single_bar_is_zero_at_the_edge_of_float64(self):
         # f_max + 1 rounds to f_max = 1e308, so the bar would measure 0.

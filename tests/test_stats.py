@@ -1,11 +1,21 @@
+import csv
+import io
+import itertools
+import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_matrix
+from entropic.dataset import NON_NEUTRAL, audio_columns, entropy_table_csv, pairwise_table_csv
 from entropic.errors import StatsError
+from entropic.persistence import INFINITE, Barcode, barcode_to_csv
 from entropic.stats import (
+    ActorInfo,
+    BoxplotSummary,
+    EntropyMatrix,
     _quartiles,
     boxplot_by_audio,
     boxplot_csv,
@@ -100,9 +110,6 @@ class TestCorrelationMatrix:
         assert np.all(np.diag(corr) == 1.0)
 
     def test_incomplete_matrix_rejected(self):
-        from entropic.dataset import audio_columns
-        from entropic.stats import ActorInfo, EntropyMatrix
-
         values = np.ones((2, 60))
         values[1, 0] = np.nan
         m = EntropyMatrix(
@@ -219,6 +226,10 @@ class TestSexGroupedMeans:
         assert np.isnan(means[("male", "male")])
         assert means[("female", "female")] == pytest.approx(0.4)
 
+    def test_one_sex_label_per_row(self):
+        with pytest.raises(StatsError, match="^correlation matrix / sex labels shape mismatch$"):
+            sex_grouped_correlation_means(np.eye(2), ["male"])
+
     def test_asymmetric_matrix_rejected(self):
         corr = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(StatsError):
@@ -226,6 +237,15 @@ class TestSexGroupedMeans:
 
 
 class TestEntropyMatrix:
+    def test_values_must_be_2d(self):
+        with pytest.raises(StatsError, match="^entropy matrix must be 2-D$"):
+            EntropyMatrix(values=np.zeros(60), actor_meta=(), audio_meta=tuple(audio_columns()))
+
+    def test_shape_must_match_metadata(self):
+        with pytest.raises(StatsError, match="^entropy matrix shape does not match metadata$"):
+            EntropyMatrix(values=np.zeros((2, 60)), actor_meta=(ActorInfo(1, "male"),),
+                          audio_meta=tuple(audio_columns()))
+
     def test_caller_array_stays_writable_and_apart(self):
         values = np.ones((2, 60))
         m = make_matrix(values)
@@ -237,6 +257,10 @@ class TestEntropyMatrix:
 
 
 class TestBoxplot:
+    def test_empty_group_rejected(self):
+        with pytest.raises(StatsError, match="^cannot summarize an empty group$"):
+            summarize([])
+
     def test_constant_column(self):
         s = summarize([3.0] * 10)
         assert s.minimum == s.q1 == s.median == s.q3 == s.maximum == 3.0
@@ -362,3 +386,41 @@ class TestCsvOutputs:
         lines = text.strip().split("\n")
         assert lines[0] == "group,emotion,min,q1,median,q3,max,mean,outliers"
         assert len(lines) == 61
+
+
+SPECIAL = (math.inf, math.nan, -0.0, 5e-324, 1e308, -math.inf, -5e-324, 0.1)
+
+
+def special_writers() -> dict:
+    """Each writer's CSV text of SPECIAL, with the floats it holds in order
+    and how many leading columns of each row are not floats."""
+    corr = np.array([np.roll(SPECIAL, i) for i in range(len(SPECIAL))])
+    actors = [ActorInfo(i + 1, "male") for i in range(len(corr))]
+    pairs = list(itertools.combinations(NON_NEUTRAL, 2))
+    accuracies = [SPECIAL[i % len(SPECIAL)] for i in range(len(pairs))]
+    table = np.resize(SPECIAL, (2, 60))
+    bars = Barcode(births=[-1e308, -0.0, 5e-324, 0.1], deaths=[-5e-324, 5e-324, 1e308, INFINITE],
+                   f_max=1e308)
+    return {
+        "correlation": (correlation_csv(corr, actors), corr.ravel().tolist(), 1),
+        "sex_means": (sex_means_csv({(f"s{i}", "x"): v for i, v in enumerate(SPECIAL)}), list(SPECIAL), 2),
+        "boxplot": (boxplot_csv([(audio_columns()[0], BoxplotSummary(*SPECIAL[:6], outliers=SPECIAL))]),
+                    [*SPECIAL[:6], *SPECIAL], 2),
+        "pairwise": (pairwise_table_csv(dict(zip(pairs, accuracies))), accuracies, 1),
+        # A cell that is not finite is a missing entropy, written empty.
+        "entropy_table": (entropy_table_csv(make_matrix(table)),
+                          [v for v in table.ravel().tolist() if math.isfinite(v)], 2),
+        "barcode": (barcode_to_csv(bars), [v for bar in bars.as_multiset() for v in bar], 0),
+    }
+
+
+WRITERS = special_writers()
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_every_writer_round_trips_floats_bit_for_bit(name):
+    text, floats, skip = WRITERS[name]
+    rows = list(csv.reader(io.StringIO(text)))
+    got = [float(v) for row in rows[1:] for cell in row[skip:] if cell for v in cell.split(";")]
+    assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in floats]
+    assert text.endswith("\n") and "\r" not in text

@@ -253,6 +253,15 @@ class TestTrainBinary:
         assert m.converged is False
         assert m.kkt_gap > 1e-3
 
+    def test_pair_that_cannot_move_stops_unconverged_with_its_gap(self):
+        # Below float64 resolution the maximal violating pair's step rounds
+        # to nothing: SMO stops before its cap of 10 n^2 updates, and says so.
+        data = points_from(np.arange(4.0)[:, None] ** 1.5, ["A", "B", "A", "B"])
+        m = train_binary(data, KernelSpec("linear"), C=1.0, tol=1e-300)
+        assert 0 < m.iterations < 10 * 4 ** 2
+        assert m.converged is False and m.kkt_gap > 1e-300
+        assert recovered_kkt_gap(m, data, 1.0) == pytest.approx(m.kkt_gap, abs=1e-12)
+
 
 def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmModel:
     """The SMO loop as it was before its per-iteration cost was cut, kept verbatim.
@@ -743,6 +752,10 @@ class TestKfold:
     def test_k_larger_than_dataset_rejected(self):
         with pytest.raises(TrainingError):
             kfold_cross_validate(TWO_POINTS, KernelSpec("linear"), k=3)
+
+    def test_k_below_two_rejected(self):
+        with pytest.raises(TrainingError, match="^k must be at least 2$"):
+            kfold_cross_validate(TWO_POINTS, KernelSpec("linear"), k=1)
 
 
 class TestSelectBestKernel:
