@@ -7,9 +7,9 @@ Tukey box-plot summaries per audio column.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,10 +57,11 @@ class EntropyMatrix:
 
 def csv_text(rows) -> str:
     """CSV text of rows of str, int and Python float cells, a float as repr
-    writes it; a field with a comma, quote or newline is quoted."""
-    text = io.StringIO()
-    csv.writer(text, lineterminator="\n").writerows(rows)
-    return text.getvalue()
+    writes it; a field with a comma, quote, newline or carriage return is quoted."""
+    # csv quotes a field holding a line terminator character; each row's "\r\n" becomes "\n".
+    lines: list[str] = []
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n").writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines)
 
 
 def missing_cells(m: EntropyMatrix) -> list[tuple[int, str]]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -30,6 +31,9 @@ from .errors import TrainingError
 
 KERNEL_FAMILIES = ("linear", "polynomial", "gaussian")
 _MAX_ITER = 200_000  # the most SMO pair updates one fit makes, whatever its size
+# The largest |sum(alpha * y)| / C a start may carry: an SMO update moves the sum
+# by two roundings of at most C, so 1000 capped fits along a C path stay below 2e-7 C.
+_BALANCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -225,8 +229,9 @@ def train_binary(
     ``start``, a model that train_binary returned for the same points and
     kernel, makes SMO resume from its dual solution instead of alpha = 0.
     That solution is feasible when no alpha in it exceeds C, since it keeps
-    sum(alpha * y) = 0; a start that already meets tol returns its alphas
-    unchanged after 0 updates. A start trained on these very LabeledPoint
+    sum(alpha * y) = 0 within _BALANCE_TOL * C; a start that breaks either
+    is refused. A start that already meets tol returns its alphas unchanged
+    after 0 updates. A start trained on these very LabeledPoint
     objects, in this order, with an equal kernel lends its Gram matrix too.
     """
     check_solver_params(C, tol)
@@ -253,6 +258,8 @@ def train_binary(
         a = start.dual.tolist()
         if max(a) > C + eps:  # SMO can leave an alpha one rounding above its C
             raise TrainingError(f"start has a dual variable above C={C}")
+        if abs(float(y @ start.dual)) > _BALANCE_TOL * C:
+            raise TrainingError("start breaks sum(alpha * y) = 0")
         f = start.f.copy()
     # up_y[k] is y_k if alpha_k may move so that y_k alpha_k grows (the 'up'
     # set), else -inf; low_y likewise for 'low' with +inf. So up_y - f is
@@ -407,105 +414,34 @@ class CvResult:
     unconverged: int  # fits that stopped with a KKT gap above tol
 
 
-# numpy's default_rng(seed) shuffle, ported: numpy.random costs a process
-# about 6 MB resident and 10 ms to import, for a few hundred draws. The
-# constants are SeedSequence's (numpy/random/bit_generator.pyx) and PCG64's.
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, with its running constant."""
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _seed_state(seed) -> list[int]:
-    """numpy's SeedSequence(seed).generate_state(4, np.uint64) for an integer seed."""
+def _rng(seed) -> random.Random:
+    """The generator of every seeded shuffle; Python keeps its random() draws for a seed."""
     seed = operator.index(seed)
     if seed < 0:
-        raise ValueError("expected non-negative integer")
-    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hash_a = _hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
-
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32  # MIX_MULT_L, MIX_MULT_R
-        return x ^ x >> 16
-
-    pool = [hash_a(entropy[i] if i < len(entropy) else 0) for i in range(4)]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hash_a(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hash_a(word))
-    hash_b = _hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
-    words = [hash_b(pool[i % 4]) for i in range(8)]
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+        raise TrainingError(f"seed must be a non-negative integer, got {seed}")
+    return random.Random(seed)
 
 
-class _Pcg64:
-    """The PCG64 (XSL-RR 128/64) that numpy's default_rng(seed) seeds through
-    SeedSequence: the same draws, and the same shuffles, index for index."""
-
-    def __init__(self, seed) -> None:
-        w0, w1, w2, w3 = _seed_state(seed)
-        self.inc = ((w2 << 64 | w3) << 1 | 1) & _M128
-        self.state = 0
-        self._step()
-        self.state = (self.state + (w0 << 64 | w1)) & _M128
-        self._step()
-        self.half: int | None = None  # the unused high half of the last 64-bit draw
-
-    def _step(self) -> None:
-        self.state = (self.state * _PCG_MULT + self.inc) & _M128
-
-    def next64(self) -> int:
-        self._step()
-        x = (self.state >> 64 ^ self.state) & _M64
-        r = self.state >> 122
-        return (x >> r | x << (64 - r)) & _M64
-
-    def next32(self) -> int:
-        if self.half is not None:
-            half, self.half = self.half, None
-            return half
-        x = self.next64()
-        self.half = x >> 32
-        return x & _M32
-
-    def shuffled(self, items: Sequence[int]) -> np.ndarray:
-        """The items as Generator.shuffle leaves a 1-d array of them, as intp:
-        from the end, item i swaps with a j in [0, i], drawn by masking to i's
-        bit length and drawing again while j > i."""
-        items = list(items)
-        for i in range(len(items) - 1, 0, -1):
-            draw = self.next32 if i <= _M32 else self.next64
-            mask = (1 << i.bit_length()) - 1
-            j = draw() & mask
-            while j > i:
-                j = draw() & mask
-            items[i], items[j] = items[j], items[i]
-        return np.array(items, dtype=np.intp)
+def _shuffled(items: Sequence[int], rng: random.Random) -> np.ndarray:
+    """The items in a Fisher-Yates order, as intp: from the end, item i swaps
+    with item int(rng.random() * (i + 1))."""
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = int(rng.random() * (i + 1))
+        items[i], items[j] = items[j], items[i]
+    return np.array(items, dtype=np.intp)
 
 
 def _shuffled_by_class(labels: Sequence, seed: int) -> dict:
     """Each class's indices in a seeded random order, keyed by class in order
     of first appearance. One generator shuffles the classes in sorted order,
     so the draws do not depend on the order in which the classes appear."""
-    try:
-        rng = _Pcg64(seed)
-    except ValueError:  # numpy's, for a negative seed; it names no seed
-        raise TrainingError(f"seed must be a non-negative integer, got {seed}")
+    rng = _rng(seed)
     by_class: dict = {}
     for idx, lab in enumerate(labels):
         by_class.setdefault(lab, []).append(idx)
     for lab in _sorted_classes(labels):
-        by_class[lab] = rng.shuffled(by_class[lab])
+        by_class[lab] = _shuffled(by_class[lab], rng)
     return by_class
 
 
@@ -524,7 +460,7 @@ def stratified_folds(labels: Sequence, k: int, seed: int) -> list[np.ndarray]:
     if all(len(v) >= 2 for v in by_class.values()):
         order = np.concatenate([by_class[lab] for lab in _sorted_classes(labels)])
     else:
-        order = _Pcg64(seed).shuffled(range(n))
+        order = _shuffled(range(n), _rng(seed))
     return [np.sort(order[fold::k]) for fold in range(k)]
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix
-from entropic.dataset import NON_NEUTRAL, audio_columns, entropy_table_csv, pairwise_table_csv
+from entropic.dataset import NON_NEUTRAL, _read_csv, audio_columns, entropy_table_csv, pairwise_table_csv
 from entropic.errors import StatsError
 from entropic.persistence import INFINITE, Barcode, barcode_to_csv
 from entropic.stats import (
@@ -21,6 +21,7 @@ from entropic.stats import (
     boxplot_csv,
     correlation_csv,
     correlation_matrix,
+    csv_text,
     sex_grouped_correlation_means,
     sex_means_csv,
     summarize,
@@ -424,3 +425,17 @@ def test_every_writer_round_trips_floats_bit_for_bit(name):
     got = [float(v) for row in rows[1:] for cell in row[skip:] if cell for v in cell.split(";")]
     assert [struct.pack("<d", v) for v in got] == [struct.pack("<d", v) for v in floats]
     assert text.endswith("\n") and "\r" not in text
+
+
+@pytest.mark.parametrize("field", ["a\rb.csv", "a\nb.csv", "a\r\nb.csv", "a,b.csv", 'a"b.csv'])
+def test_csv_text_round_trips_through_the_reader(tmp_path, field):
+    rows = [["path", "entropy"], [field, 1.0]]
+    text = csv_text(rows)
+    (tmp_path / "t.csv").write_text(text, newline="")
+    header, body = _read_csv(tmp_path / "t.csv", "table")
+    assert [header, *(row for _, row in body)] == [["path", "entropy"], [field, "1.0"]]
+    assert text.endswith(",1.0\n")
+    if "\r" not in field:  # csv.writer's bytes with a "\n" terminator
+        plain = io.StringIO()
+        csv.writer(plain, lineterminator="\n").writerows(rows)
+        assert text == plain.getvalue()
