@@ -22,6 +22,7 @@ names it once.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 from pathlib import Path
@@ -141,9 +142,12 @@ def _load_matrix(source: str, target_len: int, jobs: int) -> st.EntropyMatrix:
     if path.is_dir():
         records = ds.scan_ravdess_tree(path)
     elif path.suffix == ".csv" and path.exists():
-        with open(path, encoding="utf-8-sig", errors="replace") as fh:  # the readers report bad UTF-8
-            first = next((line for line in fh if line != "\n"), "")  # the readers skip blank lines
-        if first.rstrip("\n").split(",")[:2] == ["actor_id", "sex"]:  # read_entropy_table's test
+        try:  # the first non-blank row, in the readers' dialect; they report what it cannot read
+            with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
+                first = next(filter(None, csv.reader(fh)), [])
+        except (OSError, csv.Error):
+            first = []
+        if first[:2] == ["actor_id", "sex"]:  # read_entropy_table's test
             return ds.read_entropy_table(path)
         records = ds.parse_manifest(path)
     else:

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import wave
@@ -479,6 +480,26 @@ finally:
     assert proc.stderr.splitlines()[-1] == "loaded:"
 
 
+# The package exports only __version__, so importing a module loads that
+# module and the modules it imports, no others.
+@pytest.mark.parametrize("module,loaded", [
+    ("entropic", []),
+    ("entropic.errors", ["errors"]),
+    ("entropic.signal", ["errors", "signal"]),
+    ("entropic.stats", ["errors", "stats"]),
+    ("entropic.svm", ["errors", "svm"]),
+    ("entropic.persistence", ["errors", "persistence", "signal", "stats"]),
+    ("entropic.dataset", ["dataset", "errors", "persistence", "signal", "stats", "svm"]),
+    ("entropic.cli", ["cli", "dataset", "errors", "persistence", "signal", "stats", "svm"]),
+])
+def test_importing_a_module_loads_only_what_it_uses(module, loaded):
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'entropic'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["entropic"] + [f"entropic.{m}" for m in loaded]
+
+
 # A Gram matrix beyond float64: (x.y + 1)^1000 overflows, and exp(-d^2 / 2e-320) is
 # the identity. Each is one outcome with no numpy warning; the first is refused.
 @pytest.mark.parametrize("kernel,code", [("polynomial(d=1000, c=1.0)", 1), ("gaussian(sigma=1e-160)", 0)])
@@ -801,18 +822,70 @@ def test_table_with_a_byte_order_mark_reads_as_without(runner, table_csv, comman
     assert (result.exit_code, result.output) == (0, plain.output)
 
 
-def test_manifest_with_a_byte_order_mark_reads_as_without(runner, tmp_path):
+def write_manifest_of_tree(tmp_path) -> str:
+    """Write the full WAV tree and return a plain manifest of it."""
     write_full_wav_tree(tmp_path / "corpus")
     records = ds.scan_ravdess_tree(tmp_path / "corpus")
     rows = [ds.MANIFEST_HEADER] + [[r.path, r.actor_id, r.sex, r.emotion, r.intensity, r.statement,
                                     r.repetition] for r in records]
-    text = "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def test_manifest_with_a_byte_order_mark_reads_as_without(runner, tmp_path):
+    text = write_manifest_of_tree(tmp_path).encode()
     (tmp_path / "plain.csv").write_bytes(text)
     (tmp_path / "marked.csv").write_bytes(BOM + text)
     plain = runner.invoke(main, ["experiment", "2", str(tmp_path / "plain.csv")])
     assert plain.exit_code == 0, plain.output
     result = runner.invoke(main, ["experiment", "2", str(tmp_path / "marked.csv")])
     assert (result.exit_code, result.output) == (0, plain.output)
+
+
+def quote_all(path):
+    """Copy of a CSV file with every field quoted, as csv.QUOTE_ALL writes it."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    quoted = path.with_name("quoted.csv")
+    with open(quoted, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+    return quoted
+
+
+@pytest.mark.parametrize("command", [["experiment", "1", "--C", "10"], ["experiment", "3"]],
+                         ids=["experiment1", "experiment3"])
+def test_table_with_every_field_quoted_reads_as_without(runner, table_csv, command):
+    quoted = quote_all(table_csv)
+    assert quoted.read_text().startswith('"actor_id","sex",')
+    plain = runner.invoke(main, command[:2] + [str(table_csv)] + command[2:])
+    assert plain.exit_code == 0, plain.output
+    result = runner.invoke(main, command[:2] + [str(quoted)] + command[2:])
+    assert (result.exit_code, result.output) == (0, plain.output)
+
+
+def test_manifest_with_every_field_quoted_reads_as_without(runner, tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(write_manifest_of_tree(tmp_path))
+    quoted = quote_all(plain)
+    want = runner.invoke(main, ["experiment", "2", str(plain)])
+    assert want.exit_code == 0, want.output
+    result = runner.invoke(main, ["experiment", "2", str(quoted)])
+    assert (result.exit_code, result.output) == (0, want.output)
+
+
+# A source whose first row cannot be read goes to the manifest reader, as any
+# first row but actor_id,sex does, and that reader names the fault.
+@pytest.mark.parametrize("kind", ["field_above_limit", "socket"])
+def test_first_row_that_cannot_be_read_is_one_error_line(runner, tmp_path, kind):
+    source = tmp_path / "source.csv"
+    if kind == "socket":  # exists and is no directory, but open() fails
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(source))
+        reason = f"[Errno 6] No such device or address: '{source}'"
+    else:
+        source.write_text("x" * 131_073 + "\n")
+        reason = "field larger than field limit (131072)"
+    result = runner.invoke(main, ["experiment", "3", str(source)])
+    assert (result.exit_code, result.output) == (1, f"error: cannot read manifest {source}: {reason}\n")
 
 
 @pytest.mark.parametrize("command", ["entropy", "barcode"])
