@@ -447,6 +447,8 @@ def read_entropy_table(path) -> EntropyMatrix:
     if header[2:] != [c.column_key() for c in columns]:
         raise DatasetError(f"{path}: the columns after actor_id,sex must be the "
                            f"{len(columns)} audio columns in canonical order")
+    if not rows:
+        raise DatasetError(f"{path}: no actor rows")
     actors = []
     values = []
     seen: dict[int, int] = {}

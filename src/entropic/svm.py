@@ -22,6 +22,7 @@ import math
 import operator
 import random
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -31,9 +32,6 @@ from .errors import TrainingError
 
 KERNEL_FAMILIES = ("linear", "polynomial", "gaussian")
 _MAX_ITER = 200_000  # the most SMO pair updates one fit makes, whatever its size
-# The largest |sum(alpha * y)| / C a start may carry: an SMO update moves the sum
-# by two roundings of at most C, so 1000 capped fits along a C path stay below 2e-7 C.
-_BALANCE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,11 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.family not in KERNEL_FAMILIES:
             raise TrainingError(f"unknown kernel family: {self.family!r}")
-        if self.family == "polynomial" and not (self.degree >= 1 and math.isfinite(self.offset)):
-            raise TrainingError(f"polynomial degree must be >= 1 and offset finite, got {self.describe()}")
+        # A degree float64 does not hold would make kernel_matrix raise OverflowError.
+        if self.family == "polynomial" and not (type(self.degree) is int and 1 <= self.degree <= sys.float_info.max
+                                                and math.isfinite(self.offset)):
+            raise TrainingError(f"polynomial degree must be >= 1 and an int that float64 holds, "
+                                f"and offset finite, got {self.describe()}")
         # kernel_matrix divides by 2 sigma^2, which must neither underflow to 0 nor overflow.
         if self.family == "gaussian" and not (self.sigma > 0 and 0 < 2.0 * (self.sigma * self.sigma) < math.inf):
             raise TrainingError(
@@ -77,7 +78,11 @@ class KernelSpec:
         if bare:
             return cls(bare)
         if sigma is None:
-            return cls("polynomial", degree=int(degree), offset=float(offset))
+            try:
+                return cls("polynomial", degree=int(degree), offset=float(offset))
+            except ValueError:  # more digits than int() reads
+                raise TrainingError(f"polynomial degree must be >= 1 and an int that float64 holds, "
+                                    f"got one of {len(degree.lstrip('-'))} digits") from None
         return cls("gaussian", sigma=float(sigma))
 
 
@@ -98,7 +103,7 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         if spec.family == "linear":
             return dots
         if spec.family == "polynomial":
-            return (dots + spec.offset) ** spec.degree
+            return (dots + spec.offset) ** float(spec.degree)
         sq = (X * X).sum(axis=1)[:, None] + (Y * Y).sum(axis=1)[None, :] - 2.0 * dots
         np.maximum(sq, 0.0, out=sq)
         return np.exp(-sq / (2.0 * spec.sigma**2))
@@ -170,14 +175,14 @@ class SvmModel:
     iterations: int = 0
     kkt_gap: float = math.nan
     converged: bool = False
-    # Solver state that train_binary(start=...) resumes from: the dual
-    # variable of every training point in order (not label-signed) and f
-    # without the bias. None on a model built any other way.
-    dual: np.ndarray | None = field(default=None, repr=False, compare=False)
-    f: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # The problem train_binary set up, Gram matrix included, which a start
-    # on the same points and kernel reuses; _one_vs_one_path drops it at the
-    # end of each pair's path, so that the models it returns stay small.
+    # Solver state, set by train_binary alone: the dual variable of every
+    # training point in order (not label-signed), f without the bias, and
+    # the problem, Gram matrix included, that train_binary(start=...)
+    # resumes on. None on a model built any other way. _one_vs_one_path
+    # drops _problem at the end of each pair's path, so that the models it
+    # returns stay small.
+    dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    f: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _problem: _Problem | None = field(default=None, init=False, repr=False, compare=False)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
@@ -226,41 +231,36 @@ def train_binary(
     records the updates made, the final gap and whether it is within tol
     (``converged``).
 
-    ``start``, a model that train_binary returned for the same points and
-    kernel, makes SMO resume from its dual solution instead of alpha = 0.
-    That solution is feasible when no alpha in it exceeds C, since it keeps
-    sum(alpha * y) = 0 within _BALANCE_TOL * C; a start that breaks either
-    is refused. A start that already meets tol returns its alphas unchanged
-    after 0 updates. A start trained on these very LabeledPoint
-    objects, in this order, with an equal kernel lends its Gram matrix too.
+    ``start`` makes SMO resume from a model's dual solution instead of
+    alpha = 0, on its Gram matrix. It must be the model that train_binary
+    returned for these very LabeledPoint objects, in this order, with an
+    equal kernel, and with no dual variable above C; any other start, or
+    one whose problem was dropped, is refused. A start that already meets
+    tol returns its alphas unchanged after 0 updates.
     """
     check_solver_params(C, tol)
-    problem = start._problem if start is not None else None
-    if (problem is None or problem.kernel != kernel or len(problem.points) != len(data)
-            or not all(map(operator.is_, problem.points, data))):
+    eps = 1e-12 * C
+    if start is None:
         problem = _set_up(data, kernel)
-        if start is not None and (start.dual is None or len(start.dual) != len(problem.points)
-                                  or start.class_pair != problem.classes):
-            raise TrainingError("start is not a model trained on these points")
+        a = [0.0] * len(problem.y)
+        f = np.zeros(len(problem.y))  # f_i = sum_j alpha_j y_j K_ij, bias excluded
+    else:
+        problem = start._problem
+        if (problem is None or problem.kernel != kernel or len(problem.points) != len(data)
+                or not all(map(operator.is_, problem.points, data))):
+            raise TrainingError("start is not a model trained on these points with this kernel")
+        a = start.dual.tolist()
+        if max(a) > C + eps:  # SMO can leave an alpha one rounding above its C
+            raise TrainingError(f"start has a dual variable above C={C}")
+        f = start.f.copy()
     _, _, (neg, pos), X, y, K, K_cols, K_diag = problem
 
     n = len(y)
     max_iter = min(10 * n * n, _MAX_ITER)
-    eps = 1e-12 * C
     upper = C - eps
     # On problems of tens of points a NumPy call costs more than the
     # arithmetic it does, so the per-pair scalars are Python floats.
     ys = y.tolist()
-    if start is None:
-        a = [0.0] * n
-        f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
-    else:
-        a = start.dual.tolist()
-        if max(a) > C + eps:  # SMO can leave an alpha one rounding above its C
-            raise TrainingError(f"start has a dual variable above C={C}")
-        if abs(float(y @ start.dual)) > _BALANCE_TOL * C:
-            raise TrainingError("start breaks sum(alpha * y) = 0")
-        f = start.f.copy()
     # up_y[k] is y_k if alpha_k may move so that y_k alpha_k grows (the 'up'
     # set), else -inf; low_y likewise for 'low' with +inf. So up_y - f is
     # y - f masked for the argmax without a np.where. They are set for every
@@ -305,13 +305,10 @@ def train_binary(
         moved = (i, j)
         iterations += 1
 
+    # np.mean's arithmetic on the free points, else the midpoint of the KKT interval: a
+    # dual with sum(alpha * y) = 0 on two classes keeps 'up' and 'low' non-empty.
     free = [k for k, ak in enumerate(a) if eps < ak < upper]
-    if free:
-        bias = float(np.add.reduce(y[free] - f[free]) / len(free))  # np.mean's arithmetic
-    elif math.isfinite(gap_lo) and math.isfinite(gap_hi):
-        bias = (gap_lo + gap_hi) / 2.0
-    else:
-        bias = 0.0
+    bias = float(np.add.reduce(y[free] - f[free]) / len(free)) if free else (gap_lo + gap_hi) / 2.0
 
     keep = [k for k, ak in enumerate(a) if ak > 0.0]
     model = SvmModel(
@@ -323,10 +320,9 @@ def train_binary(
         iterations=iterations,
         kkt_gap=kkt_gap,
         converged=kkt_gap <= tol,
-        dual=np.array(a),
-        f=f,
     )
-    object.__setattr__(model, "_problem", problem)
+    for name, value in (("dual", np.array(a)), ("f", f), ("_problem", problem)):
+        object.__setattr__(model, name, value)
     return model
 
 

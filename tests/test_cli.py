@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -338,6 +339,16 @@ def test_non_finite_cell_is_an_error_naming_its_line_and_column(runner, table_cs
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["experiment", "1"], ["kernels", "2"], ["stats"]])
+def test_table_with_no_actor_rows_is_an_error(runner, table_csv, tmp_path, command):
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(table_csv.read_text().split("\n")[0] + "\n")
+    result = runner.invoke(main, command + [str(header_only), "--out-dir", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {header_only}: no actor rows\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [["experiment", "3"], ["kernels", "2"], ["stats"]])
 def test_missing_entropy_is_named_by_actor_and_column(runner, table_csv, tmp_path, command):
     def edit(rows):
@@ -480,6 +491,29 @@ finally:
     assert proc.stderr.splitlines()[-1] == "loaded:"
 
 
+# Python 3.14 starts pool workers by forkserver on Linux, and macOS by spawn; the other
+# --jobs tests run the default start method, fork on Linux before 3.14.
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_jobs_2_gives_the_jobs_1_output_under_each_start_method(tmp_path, method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    write_full_wav_tree(tmp_path / "corpus")
+    env = dict(os.environ, PYTHONPATH=str(Path(entropic.__file__).parents[1]))
+    stdout = []
+    for jobs in ("1", "2"):
+        code = f"""
+import multiprocessing, os
+multiprocessing.set_start_method({method!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}  # a pool of two even on one core
+from entropic.cli import main
+main(["experiment", "2", {str(tmp_path / "corpus")!r}, "--jobs", {jobs!r}])
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.returncode == 0 and proc.stderr == b"", proc.stderr
+        stdout.append(proc.stdout)
+    assert stdout[0] == stdout[1] and stdout[0].startswith(b"{")
+
+
 # The package exports only __version__, so importing a module loads that
 # module and the modules it imports, no others.
 @pytest.mark.parametrize("module,loaded", [
@@ -576,6 +610,16 @@ def test_kernel_parameter_out_of_range_is_a_usage_error(runner, table_csv, tmp_p
     assert result.exit_code == 2, result.output
     assert message in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("digits", [400, 5000])  # beyond float64; the second beyond what int() reads
+def test_degree_beyond_float64_is_a_usage_error(runner, table_csv, monkeypatch, digits):
+    fail_if_input_is_read(monkeypatch)
+    kernel = f"polynomial(d={'9' * digits}, c=1.0)"
+    result = runner.invoke(main, ["experiment", "3", str(table_csv), "--kernel", kernel])
+    assert result.exit_code == 2, result.output
+    assert ("Error: Invalid value for '--kernel': polynomial degree must be >= 1 and an int that float64 holds"
+            in result.output)
 
 
 def test_non_finite_sigma_is_found_before_the_input_is_read(runner, table_csv, monkeypatch):

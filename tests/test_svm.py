@@ -60,6 +60,15 @@ class TestKernelEval:
         with pytest.raises(TrainingError):
             KernelSpec("gaussian", sigma=0.0)
 
+    @pytest.mark.parametrize("degree", [True, 2.0, 10**309, 10**400], ids=["True", "2.0", "1e309", "1e400"])
+    def test_degree_must_be_an_int_that_float64_holds(self, degree):
+        with pytest.raises(TrainingError, match="degree must be >= 1 and an int that float64 holds"):
+            KernelSpec("polynomial", degree=degree)
+
+    def test_degree_float64_holds_is_a_kernel(self):
+        # (1 + 1)^1e308 is inf, an outcome training refuses, not an OverflowError.
+        assert np.isinf(kernel_matrix(KernelSpec("polynomial", degree=10**308), [[1.0]], [[1.0]])).all()
+
     @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
     def test_non_finite_sigma_rejected(self, sigma):
         with pytest.raises(TrainingError, match="finite"):
@@ -101,6 +110,11 @@ class TestKernelSpecParse:
         parsed = KernelSpec.parse(spec.describe())  # an int offset or sigma reads back as its float
         assert parsed == spec
         assert math.copysign(1.0, parsed.offset) == math.copysign(1.0, spec.offset)
+
+    @pytest.mark.parametrize("digits", [400, 5000])  # int() reads at most 4300 digits
+    def test_degree_beyond_float64_is_refused(self, digits):
+        with pytest.raises(TrainingError, match="degree must be >= 1 and an int that float64 holds"):
+            KernelSpec.parse(f"polynomial(d={'9' * digits}, c=1.0)")
 
     def test_bare_families_take_the_defaults(self):
         assert KernelSpec.parse("linear") == KernelSpec("linear")
@@ -402,6 +416,9 @@ def recovered_kkt_gap(model, data, C):
     return float(viol[up].max() - viol[low].min()) if up.any() and low.any() else 0.0
 
 
+NOT_ITS_START = "^start is not a model trained on these points with this kernel$"
+
+
 def warm_start_problems():
     """Seeded two-class problems of 8-30 points, every kernel family."""
     kernels = [KernelSpec("linear"), KernelSpec("polynomial", degree=2, offset=1.0),
@@ -464,32 +481,31 @@ class TestWarmStart:
         assert start.dual.max() > 1.0
         with pytest.raises(TrainingError, match="above C"):
             train_binary(data, kernel, C=1.0, start=start)
-        with pytest.raises(TrainingError, match="not a model trained on these points"):
+        with pytest.raises(TrainingError, match=NOT_ITS_START):
             train_binary(data[1:], kernel, C=10.0, start=start)
         renamed = [LabeledPoint(p.features, {"A": "A", "B": "0"}[p.label]) for p in data]
-        with pytest.raises(TrainingError, match="not a model trained on these points"):
+        with pytest.raises(TrainingError, match=NOT_ITS_START):
             train_binary(renamed, kernel, C=10.0, start=start)
-        hand_built = dataclasses.replace(start, dual=None, f=None)
-        with pytest.raises(TrainingError, match="not a model trained on these points"):
-            train_binary(data, kernel, C=10.0, start=hand_built)
+        with pytest.raises(TrainingError, match=NOT_ITS_START):
+            train_binary(data, kernel, C=10.0, start=dataclasses.replace(start))  # its problem dropped
 
     def test_start_that_breaks_the_equality_constraint_rejected(self):
+        # Every positive at C and every negative at 0 would empty the 'up' set, for a
+        # KKT gap of -inf that would pass as converged. Only train_binary sets a dual.
         x = np.arange(4.0)
         data = points_from(x, ["a", "b", "a", "b"])
         kernel = KernelSpec("linear")
-        y = np.array([-1.0, 1.0, -1.0, 1.0])
+        dual = np.array([0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(TypeError, match="dual"):
+            SvmModel(x[:0, None], x[:0], 0.0, kernel, ("a", "b"), dual=dual)
+        with pytest.raises(TypeError, match="'f'"):
+            SvmModel(x[:0, None], x[:0], 0.0, kernel, ("a", "b"), f=dual)
+        hand_built = SvmModel(x[:0, None], x[:0], 0.0, kernel, ("a", "b"))
         K = kernel_matrix(kernel, x[:, None], x[:, None])
-
-        def hand_built(dual):
-            dual = np.array(dual)
-            return SvmModel(x[:0, None], x[:0], 0.0, kernel, ("a", "b"), dual=dual, f=K @ (dual * y))
-
-        # Every positive at C and every negative at 0 empties the 'up' set,
-        # for a KKT gap of -inf that would pass as converged.
-        with pytest.raises(TrainingError, match=r"^start breaks sum\(alpha \* y\) = 0$"):
-            train_binary(data, kernel, C=1.0, start=hand_built([0.0, 1.0, 0.0, 1.0]))
-        model = train_binary(data, kernel, C=1.0, start=hand_built([0.5, 0.5, 0.0, 0.0]))
-        assert model.converged and model.kkt_gap <= 1e-3
+        object.__setattr__(hand_built, "dual", dual)
+        object.__setattr__(hand_built, "f", K @ (dual * [-1.0, 1.0, -1.0, 1.0]))
+        with pytest.raises(TrainingError, match=NOT_ITS_START):
+            train_binary(data, kernel, C=1.0, start=hand_built)
 
     def test_solver_state_is_kept_out_of_repr_and_equality(self):
         fields = {f.name: f for f in dataclasses.fields(SvmModel)}
@@ -532,12 +548,18 @@ class TestProblemReuse:
         assert gram_calls == [1] and warm._problem is start._problem
         equal_spec = dataclasses.replace(kernel)
         assert equal_spec is not kernel
-        assert train_binary(data, equal_spec, C=100.0, start=start)._problem is start._problem
-        full = train_binary(copies, kernel, C=100.0, start=start)
-        assert gram_calls == [2] and full._problem is not start._problem
-        stripped = train_binary(data, kernel, C=100.0, start=dataclasses.replace(start))
+        again = train_binary(data, equal_spec, C=100.0, start=start)
+        assert again._problem is start._problem
+        # Equal values are not these points, and a start without its problem lends none.
+        for points, model in ((copies, start), (data, dataclasses.replace(start))):
+            with pytest.raises(TrainingError, match=NOT_ITS_START):
+                train_binary(points, kernel, C=100.0, start=model)
+        assert gram_calls == [1]
+        # The same path on the copies sets its problem up afresh, to the same bits.
+        fresh = train_binary(copies, kernel, C=100.0, start=train_binary(copies, kernel, C=0.1))
+        assert gram_calls == [2] and fresh._problem is not start._problem
         assert warm.iterations > 0
-        assert fit_bytes(warm) == fit_bytes(full) == fit_bytes(stripped)
+        assert fit_bytes(warm) == fit_bytes(again) == fit_bytes(fresh)
 
     def test_other_points_of_the_same_size_and_classes_are_not_reused(self, gram_calls):
         data = self.overlapping()
@@ -547,22 +569,18 @@ class TestProblemReuse:
         assert [p.label for p in other] == [p.label for p in data]
         swapped = list(data)
         swapped[3] = other[3]
-        for points in (other, swapped):
-            calls = gram_calls[0]
-            warm = train_binary(points, kernel, C=10.0, start=start)
-            assert gram_calls[0] == calls + 1
-            assert warm._problem.points == tuple(points)
-            stripped = dataclasses.replace(start)  # the same state without the problem
-            assert fit_bytes(warm) == fit_bytes(train_binary(points, kernel, C=10.0, start=stripped))
+        for points in (other, swapped, data[::-1]):
+            with pytest.raises(TrainingError, match=NOT_ITS_START):
+                train_binary(points, kernel, C=10.0, start=start)
+        assert gram_calls == [1]
 
     def test_other_kernel_is_not_reused(self, gram_calls):
         data = self.overlapping()
         start = train_binary(data, KernelSpec("linear"), C=0.1)
-        gaussian = KernelSpec("gaussian", sigma=0.8)
-        warm = train_binary(data, gaussian, C=10.0, start=start)
-        assert gram_calls == [2] and warm._problem.kernel == gaussian
-        want = train_binary(data, gaussian, C=10.0, start=dataclasses.replace(start))
-        assert fit_bytes(warm) == fit_bytes(want)
+        for kernel in (KernelSpec("gaussian", sigma=0.8), KernelSpec("polynomial", degree=1, offset=0.0)):
+            with pytest.raises(TrainingError, match=NOT_ITS_START):
+                train_binary(data, kernel, C=10.0, start=start)
+        assert gram_calls == [1]
 
     def test_refit_at_the_same_C_keeps_bounded_alphas_out_of_up_and_low(self):
         # The masks a warm fit starts from must match the ones its start
@@ -574,6 +592,12 @@ class TestProblemReuse:
             again = train_binary(data, KernelSpec("linear"), C=C, start=start)
             assert again.iterations == 0 and fit_bytes(again)[:2] == fit_bytes(start)[:2]
             assert again.kkt_gap == start.kkt_gap and again.bias == start.bias
+
+    def test_model_whose_problem_the_path_dropped_is_refused(self):
+        data = self.overlapping()
+        model = train_multiclass(data, KernelSpec("linear"), C=0.1).models[0]
+        with pytest.raises(TrainingError, match=NOT_ITS_START):
+            train_binary(data, KernelSpec("linear"), C=10.0, start=model)
 
     def test_problem_is_kept_out_of_init_repr_and_equality(self):
         field = {f.name: f for f in dataclasses.fields(SvmModel)}["_problem"]
