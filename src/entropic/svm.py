@@ -23,7 +23,7 @@ import operator
 import random
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -134,16 +134,25 @@ def _stack(data: Sequence[LabeledPoint]) -> tuple[np.ndarray, list]:
 
 
 class _Problem(NamedTuple):
-    """A binary problem as train_binary sets it up, kept for warm starts along C."""
+    """A binary problem as train_binary sets it up."""
 
-    points: tuple  # the LabeledPoint objects, in order
-    kernel: KernelSpec
     classes: tuple  # (neg, pos)
     X: np.ndarray
     y: np.ndarray  # -1.0 for neg, +1.0 for pos
     K: np.ndarray
     K_cols: list  # K_cols[i] is K[:, i], as a contiguous row
     K_diag: list
+
+
+class _Path:
+    """One class pair's fits along its C path, each starting from the last
+    one's dual solution (alpha seeding): the problem its first fit set up,
+    and the dual (not label-signed) and f_i = sum_j alpha_j y_j K_ij (bias
+    excluded) of its last fit."""
+
+    problem: _Problem | None = None
+    dual: list
+    f: np.ndarray
 
 
 def _set_up(data: Sequence[LabeledPoint], kernel: KernelSpec) -> _Problem:
@@ -156,8 +165,7 @@ def _set_up(data: Sequence[LabeledPoint], kernel: KernelSpec) -> _Problem:
     if not np.isfinite(K).all():
         raise TrainingError(f"{kernel.describe()} kernel matrix is not finite on these features")
     y = np.array([-1.0 if lab == neg else 1.0 for lab in labels])
-    return _Problem(tuple(data), kernel, (neg, pos), X, y, K, list(np.ascontiguousarray(K.T)),
-                    K.diagonal().tolist())
+    return _Problem((neg, pos), X, y, K, list(np.ascontiguousarray(K.T)), K.diagonal().tolist())
 
 
 @dataclass(frozen=True)
@@ -175,15 +183,6 @@ class SvmModel:
     iterations: int = 0
     kkt_gap: float = math.nan
     converged: bool = False
-    # Solver state, set by train_binary alone: the dual variable of every
-    # training point in order (not label-signed), f without the bias, and
-    # the problem, Gram matrix included, that train_binary(start=...)
-    # resumes on. None on a model built any other way. _one_vs_one_path
-    # drops _problem at the end of each pair's path, so that the models it
-    # returns stay small.
-    dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    f: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _problem: _Problem | None = field(default=None, init=False, repr=False, compare=False)
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
@@ -219,7 +218,7 @@ def train_binary(
     C: float = 1.0,
     tol: float = 1e-3,
     *,
-    start: SvmModel | None = None,
+    path: _Path | None = None,
 ) -> SvmModel:
     """Train a binary soft-margin SVM by SMO on the maximal violating pair.
 
@@ -231,29 +230,20 @@ def train_binary(
     records the updates made, the final gap and whether it is within tol
     (``converged``).
 
-    ``start`` makes SMO resume from a model's dual solution instead of
-    alpha = 0, on its Gram matrix. It must be the model that train_binary
-    returned for these very LabeledPoint objects, in this order, with an
-    equal kernel, and with no dual variable above C; any other start, or
-    one whose problem was dropped, is refused. A start that already meets
-    tol returns its alphas unchanged after 0 updates.
+    ``path``, private to this module, makes SMO resume from the path's last
+    dual solution, on its problem, instead of alpha = 0, and leaves this
+    fit's there. Its caller keeps a path to one set of points and kernel,
+    and to a C no smaller than the last. A start that already meets tol
+    returns its alphas unchanged after 0 updates.
     """
     check_solver_params(C, tol)
     eps = 1e-12 * C
-    if start is None:
-        problem = _set_up(data, kernel)
-        a = [0.0] * len(problem.y)
-        f = np.zeros(len(problem.y))  # f_i = sum_j alpha_j y_j K_ij, bias excluded
-    else:
-        problem = start._problem
-        if (problem is None or problem.kernel != kernel or len(problem.points) != len(data)
-                or not all(map(operator.is_, problem.points, data))):
-            raise TrainingError("start is not a model trained on these points with this kernel")
-        a = start.dual.tolist()
-        if max(a) > C + eps:  # SMO can leave an alpha one rounding above its C
-            raise TrainingError(f"start has a dual variable above C={C}")
-        f = start.f.copy()
-    _, _, (neg, pos), X, y, K, K_cols, K_diag = problem
+    path = path or _Path()
+    if path.problem is None:  # a cold start, at alpha = 0
+        path.problem = _set_up(data, kernel)
+        path.dual, path.f = [0.0] * len(path.problem.y), np.zeros(len(path.problem.y))
+    (neg, pos), X, y, K, K_cols, K_diag = path.problem
+    a, f = path.dual.copy(), path.f.copy()
 
     n = len(y)
     max_iter = min(10 * n * n, _MAX_ITER)
@@ -310,10 +300,14 @@ def train_binary(
     free = [k for k, ak in enumerate(a) if eps < ak < upper]
     bias = float(np.add.reduce(y[free] - f[free]) / len(free)) if free else (gap_lo + gap_hi) / 2.0
 
+    path.dual, path.f = a, f
     keep = [k for k, ak in enumerate(a) if ak > 0.0]
-    model = SvmModel(
-        support_vectors=X[keep],
-        alpha=np.array([a[k] * ys[k] for k in keep]),
+    support_vectors, alpha = X[keep], np.array([a[k] * ys[k] for k in keep])
+    support_vectors.setflags(write=False)
+    alpha.setflags(write=False)
+    return SvmModel(
+        support_vectors=support_vectors,
+        alpha=alpha,
         bias=bias,
         kernel=kernel,
         class_pair=(neg, pos),
@@ -321,9 +315,6 @@ def train_binary(
         kkt_gap=kkt_gap,
         converged=kkt_gap <= tol,
     )
-    for name, value in (("dual", np.array(a)), ("f", f), ("_problem", problem)):
-        object.__setattr__(model, name, value)
-    return model
 
 
 @dataclass(frozen=True)
@@ -375,17 +366,15 @@ def _one_vs_one_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Seque
     classes = _sorted_classes([p.label for p in data])
     if len(classes) < 2:
         raise TrainingError("multiclass training needs at least 2 classes")
-    paths = []
+    pair_models = []
     for pair in itertools.combinations(classes, 2):
         pair_data = [p for p in data if p.label in pair]
         models: list[SvmModel] = []
         for i, C in enumerate(Cs):
-            start = models[-1] if i and Cs[i - 1] <= C else None
-            models.append(train_binary(pair_data, kernel, C=C, tol=tol, start=start))
-        for model in models:
-            object.__setattr__(model, "_problem", None)
-        paths.append(models)
-    return [MulticlassModel(classes=tuple(classes), models=models) for models in zip(*paths)]
+            path = path if i and Cs[i - 1] <= C else _Path()
+            models.append(train_binary(pair_data, kernel, C=C, tol=tol, path=path))
+        pair_models.append(models)
+    return [MulticlassModel(classes=tuple(classes), models=models) for models in zip(*pair_models)]
 
 
 def accuracy(predicted: Sequence, truth: Sequence) -> float:

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -250,13 +251,15 @@ class TestTrainBinary:
         X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))
         data = points_from(X, labels)
         monkeypatch.setattr(svm, "_MAX_ITER", 1)
-        m = train_binary(data, KernelSpec("linear"), C=1e-3)
+        path = svm._Path()
+        m = train_binary(data, KernelSpec("linear"), C=1e-3, path=path)
+        dual = np.array(path.dual)
         assert m.iterations == 1 and not m.converged
-        assert list(m.dual).count(1e-3) == 2 and m.dual.max() == 1e-3
+        assert list(dual).count(1e-3) == 2 and dual.max() == 1e-3
         y = np.array([-1.0 if p.label == m.class_pair[0] else 1.0 for p in data])
         viol = y - (m.decision_values(X) - m.bias)
-        up = np.where(y > 0, m.dual < 1e-3, m.dual > 0)
-        low = np.where(y > 0, m.dual > 0, m.dual < 1e-3)
+        up = np.where(y > 0, dual < 1e-3, dual > 0)
+        low = np.where(y > 0, dual > 0, dual < 1e-3)
         assert m.kkt_gap == pytest.approx(viol[up].max() - viol[low].min(), abs=1e-12)
         assert m.bias == pytest.approx((viol[up].max() + viol[low].min()) / 2, abs=1e-12)
 
@@ -277,12 +280,22 @@ class TestTrainBinary:
         assert m.converged is False and m.kkt_gap > 1e-300
         assert recovered_kkt_gap(m, data, 1.0) == pytest.approx(m.kkt_gap, abs=1e-12)
 
+    def test_returned_arrays_are_read_only(self):
+        X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))
+        m = train_binary(points_from(X, labels), KernelSpec("linear"), C=1.0)
+        for array in (m.alpha, m.support_vectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
-def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmModel:
-    """The SMO loop as it was before its per-iteration cost was cut, kept verbatim.
+
+def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None, start=None) -> SvmModel:
+    """The SMO loop as it was before its per-iteration cost was cut, with its
+    training record added.
 
     Every step is a NumPy call: the masks are rebuilt from alpha, and the
-    scalars are NumPy scalars. train_binary must return bit-identical models.
+    scalars are NumPy scalars. start, when given, is the (dual, f) to
+    resume from, else both are 0. train_binary must return bit-identical
+    models.
     """
     X, labels = _stack(data)
     classes = _sorted_classes(labels)
@@ -294,15 +307,14 @@ def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmM
         max_iter = min(10 * n * n, 200_000)
     K = kernel_matrix(kernel, X, X)
 
-    alpha = np.zeros(n)
-    f = np.zeros(n)  # f_i = sum_j alpha_j y_j K_ij, bias excluded
+    # f_i = sum_j alpha_j y_j K_ij, bias excluded
+    alpha, f = (np.zeros(n), np.zeros(n)) if start is None else map(np.array, start)
     eps = 1e-12 * C
 
     up = np.empty(n, dtype=bool)
     low = np.empty(n, dtype=bool)
-    gap_lo = -math.inf
-    gap_hi = math.inf
-    for _ in range(max_iter):
+    iterations = 0
+    while True:
         np.logical_or((y > 0) & (alpha < C - eps), (y < 0) & (alpha > eps), out=up)
         np.logical_or((y > 0) & (alpha > eps), (y < 0) & (alpha < C - eps), out=low)
         viol = y - f  # -y_i * gradient_i
@@ -311,7 +323,7 @@ def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmM
         i = int(np.argmax(up_vals))
         j = int(np.argmin(low_vals))
         gap_lo, gap_hi = low_vals[j], up_vals[i]
-        if gap_hi - gap_lo <= tol:
+        if gap_hi - gap_lo <= tol or iterations == max_iter:
             break
 
         eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
@@ -334,6 +346,7 @@ def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmM
         alpha[i] = ai_new
         alpha[j] = aj_new
         f += (di * y[i]) * K[:, i] + (dj * y[j]) * K[:, j]
+        iterations += 1
 
     free = (alpha > eps) & (alpha < C - eps)
     if np.any(free):
@@ -350,6 +363,9 @@ def reference_train_binary(data, kernel, C=1.0, tol=1e-3, max_iter=None) -> SvmM
         bias=bias,
         kernel=kernel,
         class_pair=(neg, pos),
+        iterations=iterations,
+        kkt_gap=float(gap_hi - gap_lo),
+        converged=bool(gap_hi - gap_lo <= tol),
     )
 
 
@@ -391,6 +407,7 @@ def test_train_binary_is_bit_identical_to_reference(monkeypatch, data, kernel, C
     assert np.array_equal(got.alpha, want.alpha)
     assert np.array_equal(got.support_vectors, want.support_vectors)
     assert got.bias == want.bias
+    assert (got.iterations, got.kkt_gap, got.converged) == (want.iterations, want.kkt_gap, want.converged)
 
 
 def recovered_kkt_gap(model, data, C):
@@ -416,9 +433,6 @@ def recovered_kkt_gap(model, data, C):
     return float(viol[up].max() - viol[low].min()) if up.any() and low.any() else 0.0
 
 
-NOT_ITS_START = "^start is not a model trained on these points with this kernel$"
-
-
 def warm_start_problems():
     """Seeded two-class problems of 8-30 points, every kernel family."""
     kernels = [KernelSpec("linear"), KernelSpec("polynomial", degree=2, offset=1.0),
@@ -432,6 +446,44 @@ def warm_start_problems():
         X[np.array(labels) == "B"] += rng.uniform(0.0, 1.5)
         problems.append((points_from(X, labels), kernels[seed % 4]))
     return problems
+
+
+def fit_bytes(model, path=None):
+    """Every number a fit returns, as bytes: alphas, support vectors, then,
+    given the path it was fitted on, the dual and f it left there, and last
+    the bias, iterations and KKT gap."""
+    arrays = [model.alpha, model.support_vectors]
+    if path is not None:
+        arrays += [np.array(path.dual), path.f]
+    return [a.tobytes() for a in arrays] + [repr((model.bias, model.iterations, model.kkt_gap))]
+
+
+class PathFit(NamedTuple):
+    """One train_binary call, as the path_fits fixture records it."""
+
+    data: list
+    kernel: KernelSpec
+    C: float
+    path: object
+    start: tuple | None  # a copy of the path's (dual, f) as the fit found it; None for a cold start
+    problem: object  # the path's problem after the fit
+    model: SvmModel
+
+
+@pytest.fixture
+def path_fits(monkeypatch):
+    """Every train_binary call from here on, as a PathFit."""
+    fits = []
+    trained = svm.train_binary
+
+    def recorded(data, kernel, C=1.0, tol=1e-3, *, path=None):
+        start = None if path is None or path.problem is None else (list(path.dual), path.f.copy())
+        model = trained(data, kernel, C, tol, path=path)
+        fits.append(PathFit(data, kernel, C, path, start, path and path.problem, model))
+        return model
+
+    monkeypatch.setattr(svm, "train_binary", recorded)
+    return fits
 
 
 class TestWarmStart:
@@ -452,46 +504,45 @@ class TestWarmStart:
                     assert not train_binary(data, kernel, C=C, tol=tol).converged
         assert converged >= 85  # of 96 fits
 
+    def test_every_path_fit_is_the_reference_started_from_the_last_fit(self, path_fits):
+        for data, kernel in warm_start_problems():
+            svm._one_vs_one_path(data, kernel, DEFAULT_C_GRID, 1e-3)  # one class pair
+        assert len(path_fits) == 24 * len(DEFAULT_C_GRID)
+        for fit in path_fits:
+            want = reference_train_binary(fit.data, fit.kernel, C=fit.C, start=fit.start)
+            assert fit_bytes(fit.model) == fit_bytes(want)
+            assert fit.model.support_vectors.shape == want.support_vectors.shape
+        assert sum(fit.start is not None for fit in path_fits) == 24 * (len(DEFAULT_C_GRID) - 1)
+
     def test_start_meeting_tol_returns_its_alphas(self):
         X, labels = make_blobs(seed=0)  # separable: no alpha reaches C = 10
         data = points_from(X, labels)
-        cold = train_binary(data, KernelSpec("linear"), C=10.0)
-        assert cold.iterations > 0 and cold.dual.max() < 10.0
+        path = svm._Path()
+        cold = train_binary(data, KernelSpec("linear"), C=10.0, path=path)
+        dual = np.array(path.dual)
+        assert cold.iterations > 0 and dual.max() < 10.0
         for C in (10.0, 100.0):
-            warm = train_binary(data, KernelSpec("linear"), C=C, start=cold)
+            warm = train_binary(data, KernelSpec("linear"), C=C, path=path)
             assert warm.iterations == 0
-            assert warm.dual.view(np.int64).tolist() == cold.dual.view(np.int64).tolist()
+            assert np.array(path.dual).view(np.int64).tolist() == dual.view(np.int64).tolist()
             assert warm.alpha.view(np.int64).tolist() == cold.alpha.view(np.int64).tolist()
             assert warm.bias == cold.bias
 
     def test_start_is_not_changed(self):
         X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))  # overlapping
         data = points_from(X, labels)
-        start = train_binary(data, KernelSpec("linear"), C=0.1)
-        dual, f = start.dual.copy(), start.f.copy()
-        warm = train_binary(data, KernelSpec("linear"), C=100.0, start=start)
-        assert warm.iterations > 0
-        assert np.array_equal(start.dual, dual) and np.array_equal(start.f, f)
-
-    def test_infeasible_starts_rejected(self):
-        X, labels = make_blobs(seed=1, centers=((0.0, 0.0), (1.0, 1.0)))
-        data = points_from(X, labels)
-        kernel = KernelSpec("linear")
-        start = train_binary(data, kernel, C=10.0)
-        assert start.dual.max() > 1.0
-        with pytest.raises(TrainingError, match="above C"):
-            train_binary(data, kernel, C=1.0, start=start)
-        with pytest.raises(TrainingError, match=NOT_ITS_START):
-            train_binary(data[1:], kernel, C=10.0, start=start)
-        renamed = [LabeledPoint(p.features, {"A": "A", "B": "0"}[p.label]) for p in data]
-        with pytest.raises(TrainingError, match=NOT_ITS_START):
-            train_binary(renamed, kernel, C=10.0, start=start)
-        with pytest.raises(TrainingError, match=NOT_ITS_START):
-            train_binary(data, kernel, C=10.0, start=dataclasses.replace(start))  # its problem dropped
+        path = svm._Path()
+        train_binary(data, KernelSpec("linear"), C=0.1, path=path)
+        dual, f = path.dual, path.f
+        saved = list(dual), f.copy()
+        warm = train_binary(data, KernelSpec("linear"), C=100.0, path=path)
+        assert warm.iterations > 0 and path.dual is not dual and path.f is not f
+        assert dual == saved[0] and np.array_equal(f, saved[1])
 
     def test_start_that_breaks_the_equality_constraint_rejected(self):
         # Every positive at C and every negative at 0 would empty the 'up' set, for a
-        # KKT gap of -inf that would pass as converged. Only train_binary sets a dual.
+        # KKT gap of -inf that would pass as converged. A model holds no dual, and
+        # train_binary takes no model to start from.
         x = np.arange(4.0)
         data = points_from(x, ["a", "b", "a", "b"])
         kernel = KernelSpec("linear")
@@ -501,22 +552,13 @@ class TestWarmStart:
         with pytest.raises(TypeError, match="'f'"):
             SvmModel(x[:0, None], x[:0], 0.0, kernel, ("a", "b"), f=dual)
         hand_built = SvmModel(x[:0, None], x[:0], 0.0, kernel, ("a", "b"))
-        K = kernel_matrix(kernel, x[:, None], x[:, None])
-        object.__setattr__(hand_built, "dual", dual)
-        object.__setattr__(hand_built, "f", K @ (dual * [-1.0, 1.0, -1.0, 1.0]))
-        with pytest.raises(TrainingError, match=NOT_ITS_START):
+        with pytest.raises(TypeError, match="start"):
             train_binary(data, kernel, C=1.0, start=hand_built)
 
     def test_solver_state_is_kept_out_of_repr_and_equality(self):
-        fields = {f.name: f for f in dataclasses.fields(SvmModel)}
-        assert not any(fields[name].repr or fields[name].compare for name in ("dual", "f"))
-
-
-def fit_bytes(model):
-    """Every number a fit returns, as bytes: dual, f, alphas, support vectors,
-    bias, iterations and KKT gap."""
-    arrays = (model.dual, model.f, model.alpha, model.support_vectors)
-    return [a.tobytes() for a in arrays] + [repr((model.bias, model.iterations, model.kkt_gap))]
+        # Out of the model altogether: it holds what prediction needs, and its training record.
+        assert [f.name for f in dataclasses.fields(SvmModel)] == [
+            "support_vectors", "alpha", "bias", "kernel", "class_pair", "iterations", "kkt_gap", "converged"]
 
 
 @pytest.fixture
@@ -533,6 +575,14 @@ def gram_calls(monkeypatch):
     return calls
 
 
+def fits_by_path(fits):
+    """The recorded fits grouped by the path they ran on, in order of first use."""
+    groups: dict = {}
+    for fit in fits:
+        groups.setdefault(id(fit.path), []).append(fit)
+    return list(groups.values())
+
+
 class TestProblemReuse:
     def overlapping(self, seed=1):
         X, labels = make_blobs(seed=seed, n_per_class=9, centers=((0.0, 0.0), (1.0, 1.0)))
@@ -541,86 +591,84 @@ class TestProblemReuse:
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("gaussian", sigma=0.8)])
     def test_same_points_reuse_the_problem_bit_for_bit(self, gram_calls, kernel):
         data = self.overlapping()
-        start = train_binary(data, kernel, C=0.1)
+        path = svm._Path()
+        train_binary(data, kernel, C=0.1, path=path)
+        problem = path.problem
+        assert gram_calls == [1]
+        warm = train_binary(data, kernel, C=100.0, path=path)
+        assert gram_calls == [1] and path.problem is problem and warm.iterations > 0
+        warm_bytes = fit_bytes(warm, path)
+        # The same path on equal-valued copies sets its problem up afresh, to the same bits.
         copies = [LabeledPoint(p.features.copy(), p.label) for p in data]
-        assert gram_calls == [1]
-        warm = train_binary(data, kernel, C=100.0, start=start)
-        assert gram_calls == [1] and warm._problem is start._problem
-        equal_spec = dataclasses.replace(kernel)
-        assert equal_spec is not kernel
-        again = train_binary(data, equal_spec, C=100.0, start=start)
-        assert again._problem is start._problem
-        # Equal values are not these points, and a start without its problem lends none.
-        for points, model in ((copies, start), (data, dataclasses.replace(start))):
-            with pytest.raises(TrainingError, match=NOT_ITS_START):
-                train_binary(points, kernel, C=100.0, start=model)
-        assert gram_calls == [1]
-        # The same path on the copies sets its problem up afresh, to the same bits.
-        fresh = train_binary(copies, kernel, C=100.0, start=train_binary(copies, kernel, C=0.1))
-        assert gram_calls == [2] and fresh._problem is not start._problem
-        assert warm.iterations > 0
-        assert fit_bytes(warm) == fit_bytes(again) == fit_bytes(fresh)
+        fresh_path = svm._Path()
+        train_binary(copies, kernel, C=0.1, path=fresh_path)
+        fresh = train_binary(copies, kernel, C=100.0, path=fresh_path)
+        assert gram_calls == [2] and fresh_path.problem is not problem
+        assert fit_bytes(fresh, fresh_path) == warm_bytes
 
-    def test_other_points_of_the_same_size_and_classes_are_not_reused(self, gram_calls):
-        data = self.overlapping()
-        kernel = KernelSpec("linear")
-        start = train_binary(data, kernel, C=0.1)
-        other = self.overlapping(seed=2)
-        assert [p.label for p in other] == [p.label for p in data]
-        swapped = list(data)
-        swapped[3] = other[3]
-        for points in (other, swapped, data[::-1]):
-            with pytest.raises(TrainingError, match=NOT_ITS_START):
-                train_binary(points, kernel, C=10.0, start=start)
-        assert gram_calls == [1]
+    def test_other_points_of_the_same_size_and_classes_are_not_reused(self, path_fits):
+        # Each fold, and each class pair in it, is fitted on a path of its own: 3 folds
+        # of 8-point pairs with 4 points per class.
+        X, labels = make_blobs(seed=3, n_per_class=6, centers=((0, 0), (1, 0), (0, 1)))
+        svm._cv_path(points_from(X, labels), KernelSpec("linear"), DEFAULT_C_GRID, 1e-3, 3, 0)
+        groups = fits_by_path(path_fits)
+        assert len(path_fits) == 3 * 3 * len(DEFAULT_C_GRID) and len(groups) == 3 * 3
+        for group in groups:
+            assert len(group[0].data) == 8
+            assert all(fit.data is group[0].data and fit.problem is group[0].problem for fit in group)
+        assert len({id(fit.data) for fit in path_fits}) == len({id(fit.problem) for fit in path_fits}) == 9
 
-    def test_other_kernel_is_not_reused(self, gram_calls):
-        data = self.overlapping()
-        start = train_binary(data, KernelSpec("linear"), C=0.1)
-        for kernel in (KernelSpec("gaussian", sigma=0.8), KernelSpec("polynomial", degree=1, offset=0.0)):
-            with pytest.raises(TrainingError, match=NOT_ITS_START):
-                train_binary(data, kernel, C=10.0, start=start)
-        assert gram_calls == [1]
+    def test_other_kernel_is_not_reused(self, path_fits):
+        # A degree-1 polynomial with offset 0 has the linear kernel's Gram matrix, and its own paths.
+        kernels = [KernelSpec("linear"), KernelSpec("gaussian", sigma=0.8),
+                   KernelSpec("polynomial", degree=1, offset=0.0)]
+        select_best_kernel(self.overlapping(), kernels, Cs=DEFAULT_C_GRID, k=3)
+        groups = fits_by_path(path_fits)
+        assert len(groups) == len(kernels) * 3
+        for group in groups:
+            assert all(fit.kernel is group[0].kernel and fit.problem is group[0].problem for fit in group)
+        assert len({id(fit.problem) for fit in path_fits}) == len(groups)
 
     def test_refit_at_the_same_C_keeps_bounded_alphas_out_of_up_and_low(self):
         # The masks a warm fit starts from must match the ones its start
         # ended with, also for alphas at the bound C.
         data = self.overlapping()
         for C in (0.1, 1.0):
-            start = train_binary(data, KernelSpec("linear"), C=C)
-            assert start.converged and (start.dual >= C * (1 - 1e-12)).sum() >= 2
-            again = train_binary(data, KernelSpec("linear"), C=C, start=start)
-            assert again.iterations == 0 and fit_bytes(again)[:2] == fit_bytes(start)[:2]
+            path = svm._Path()
+            start = train_binary(data, KernelSpec("linear"), C=C, path=path)
+            start_bytes = fit_bytes(start, path)
+            assert start.converged and (np.array(path.dual) >= C * (1 - 1e-12)).sum() >= 2
+            again = train_binary(data, KernelSpec("linear"), C=C, path=path)
+            assert again.iterations == 0 and fit_bytes(again, path)[:4] == start_bytes[:4]
             assert again.kkt_gap == start.kkt_gap and again.bias == start.bias
 
-    def test_model_whose_problem_the_path_dropped_is_refused(self):
+    def test_a_model_is_not_a_start(self):
+        # A start read from a model's writable dual let a caller's write pass as valid:
+        # with the C = 0.1 dual zeroed, the C = 10 fit reported converged at a true KKT
+        # gap of 1.518. The state of a pair's fits lives on its path alone.
         data = self.overlapping()
-        model = train_multiclass(data, KernelSpec("linear"), C=0.1).models[0]
-        with pytest.raises(TrainingError, match=NOT_ITS_START):
-            train_binary(data, KernelSpec("linear"), C=10.0, start=model)
-
-    def test_problem_is_kept_out_of_init_repr_and_equality(self):
-        field = {f.name: f for f in dataclasses.fields(SvmModel)}["_problem"]
-        assert not (field.init or field.repr or field.compare)
+        kernel = KernelSpec("linear")
+        path = svm._Path()
+        model = train_binary(data, kernel, C=0.1, path=path)
+        with pytest.raises(TypeError, match="start"):
+            train_binary(data, kernel, C=10.0, start=model)
+        warm = train_binary(data, kernel, C=10.0, path=path)
+        assert warm.iterations > 0 and warm.converged
+        assert recovered_kkt_gap(warm, data, 10.0) <= 1e-3
 
     @pytest.mark.parametrize("call", [
         lambda data: train_multiclass(data, KernelSpec("linear"), C=1.0),
         lambda data: kfold_cross_validate(data, KernelSpec("gaussian", sigma=1.0), k=3),
         lambda data: select_best_kernel(data, Cs=DEFAULT_C_GRID, k=3),
     ], ids=["multiclass", "kfold", "grid"])
-    def test_returned_models_keep_no_path_state(self, monkeypatch, call):
+    def test_returned_models_keep_no_path_state(self, path_fits, call):
         X, labels = make_blobs(seed=3, n_per_class=6, centers=((0, 0), (1, 0), (0, 1)))
-        models = []
-        trained = svm.train_binary
-
-        def recorded(*args, **kwargs):
-            models.append(trained(*args, **kwargs))
-            return models[-1]
-
-        monkeypatch.setattr(svm, "train_binary", recorded)
         result = call(points_from(X, labels))
-        assert models and all(m._problem is None for m in models)
-        assert all(m._problem is None for m in getattr(result, "models", ()))
+        models = [fit.model for fit in path_fits] + list(getattr(result, "models", ()))
+        assert path_fits and all(isinstance(fit.path, svm._Path) for fit in path_fits)
+        for m in models:
+            assert not any(hasattr(m, name) for name in ("dual", "f", "_problem", "path"))
+            assert not (m.alpha.flags.writeable or m.support_vectors.flags.writeable)
 
 
 class TestDecisionValue:
@@ -698,7 +746,7 @@ def model_bits(model) -> list[bytes]:
     """Every array and number a binary model or one-vs-one ensemble holds, as bytes."""
     models = getattr(model, "models", (model,))
     return [np.asarray(v, dtype=np.float64).tobytes() for m in models
-            for v in (m.support_vectors, m.alpha, m.bias, m.dual, m.f, m.kkt_gap)]
+            for v in (m.support_vectors, m.alpha, m.bias, m.iterations, m.kkt_gap)]
 
 
 class TestFeatureCheck:
@@ -1139,11 +1187,11 @@ def reference_predict(model, X) -> list:
 
 
 def reference_binary_path(data, kernel, Cs, tol) -> list[SvmModel]:
-    """One binary model per C, each warm-started from the previous one where C did not decrease."""
+    """One binary model per C, each on the previous one's path where C did not decrease."""
     models: list[SvmModel] = []
     for i, C in enumerate(Cs):
-        start = models[-1] if i and Cs[i - 1] <= C else None
-        models.append(train_binary(data, kernel, C=C, tol=tol, start=start))
+        path = path if i and Cs[i - 1] <= C else svm._Path()
+        models.append(train_binary(data, kernel, C=C, tol=tol, path=path))
     return models
 
 

@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from entropic import svm
 from entropic.svm import KernelSpec, LabeledPoint, kernel_matrix, train_binary
 
 TOL = 1e-3  # train_binary's default
@@ -99,13 +100,15 @@ def oracle_problems():
 
 @pytest.fixture(scope="module")
 def fits():
-    """(case, X, y, K, C, SMO model, exact optimum) of each problem."""
+    """(case, X, y, K, C, SMO model, its dual, exact optimum) of each problem."""
     result = []
     for case, X, labels, kernel, C in oracle_problems():
-        model = train_binary([LabeledPoint(x, lab) for x, lab in zip(X, labels)], kernel, C=C, tol=TOL)
+        path = svm._Path()  # where the fit leaves its dual
+        model = train_binary([LabeledPoint(x, lab) for x, lab in zip(X, labels)], kernel, C=C, tol=TOL,
+                             path=path)
         y = np.array([-1.0 if lab == "a" else 1.0 for lab in labels])
         K = kernel_matrix(kernel, X, X)
-        result.append((case, X, y, K, C, model, exact_optimum(K, y, C)))
+        result.append((case, X, y, K, C, model, np.array(path.dual), exact_optimum(K, y, C)))
     return result
 
 
@@ -123,8 +126,8 @@ def test_the_oracle_is_exact_on_a_hand_solved_problem():
 
 
 def test_smo_never_beats_the_optimum(fits):
-    for case, X, y, K, C, model, opt in fits:
-        assert dual_objective(model.dual, y, K) <= opt.objective + ROUNDING * (1 + abs(opt.objective)), case
+    for case, X, y, K, C, model, dual, opt in fits:
+        assert dual_objective(dual, y, K) <= opt.objective + ROUNDING * (1 + abs(opt.objective)), case
 
 
 def test_shortfall_is_bounded_by_the_kkt_gap(fits):
@@ -135,9 +138,9 @@ def test_shortfall_is_bounded_by_the_kkt_gap(fits):
     |a* - a|_1. So the shortfall is at most kkt_gap * |a* - a|_1 / 2, and at
     most tol * n * C / 2 for a converged fit."""
     worst = 0.0
-    for case, X, y, K, C, model, opt in fits:
-        shortfall = opt.objective - dual_objective(model.dual, y, K)
-        bound = max(model.kkt_gap, 0.0) * np.abs(opt.a - model.dual).sum() / 2
+    for case, X, y, K, C, model, dual, opt in fits:
+        shortfall = opt.objective - dual_objective(dual, y, K)
+        bound = max(model.kkt_gap, 0.0) * np.abs(opt.a - dual).sum() / 2
         assert shortfall <= bound + ROUNDING * (1 + abs(opt.objective)), case
         if model.converged:
             assert bound <= TOL * len(y) * C / 2
@@ -152,7 +155,7 @@ def test_decision_values_match_a_unique_optimum(fits):
     points around them."""
     unique = 0
     rng = np.random.default_rng(7)
-    for case, X, y, K, C, model, opt in fits:
+    for case, X, y, K, C, model, _, opt in fits:
         lo, hi = opt.bias
         if hi - lo > 1e-9:
             continue

@@ -5,7 +5,8 @@ timed wrapper, looking the attribute up in the owner's own __dict__. A
 refactor that renames a function, or drops an import a site names (say
 `entropic.cli.load_wav`), would otherwise break `run.py --trace 1` only. The
 trace also counts the calls to `entropic.svm.train_binary` and recomputes each
-fit's KKT gap from its `data`, so every binary fit must be such a call.
+fit's KKT gap from its `data`, so every binary fit must be such a call; a
+warm fit is one that is handed its class pair's path.
 """
 
 import importlib
@@ -67,15 +68,23 @@ def traced_fits(call):
     return result, tracer.fits
 
 
+def fit_bits(model):
+    return model.alpha.tobytes(), model.support_vectors.tobytes(), repr((model.bias, model.iterations,
+                                                                         model.kkt_gap))
+
+
 @pytest.mark.parametrize("Cs", [(0.1, 1.0, 10.0), (10.0, 1.0)])
 def test_grid_fits_are_traced_train_binary_calls(Cs):
     k, pairs = 3, math.comb(3, 2)
     result, fits = traced_fits(lambda: svm.select_best_kernel(THREE_CLASSES, KERNELS, Cs, k=k))
     assert len(fits) == len(KERNELS) * len(Cs) * k * pairs
     ascending = list(Cs) == sorted(Cs)
-    for i, (bound, model) in enumerate(fits):  # kernel, fold, class pair, then C
+    paths = [bound.arguments["path"] for bound, _ in fits]
+    for i, path in enumerate(paths):  # kernel, fold, class pair, then C
         warm = ascending and i % len(Cs) > 0
-        assert bound.arguments.get("start") is (fits[i - 1][1] if warm else None)
+        assert isinstance(path, svm._Path) and (path is paths[i - 1]) == warm
+    # One path per class pair's ascending run: a new one for each pair, and after C decreases.
+    assert len(set(map(id, paths))) == len(fits) // (len(Cs) if ascending else 1)
     per_kernel = len(fits) // len(KERNELS)
     for cell, cv in enumerate(result.cells):
         kernel_fits = fits[cell // len(Cs) * per_kernel:][:per_kernel]
@@ -94,4 +103,8 @@ def test_grid_fits_are_traced_train_binary_calls(Cs):
 def test_single_C_fits_are_cold_traced_train_binary_calls(call, count):
     _, fits = traced_fits(call)
     assert len(fits) == count
-    assert all(bound.arguments.get("start") is None for bound, _ in fits)
+    paths = [bound.arguments["path"] for bound, _ in fits]
+    assert len(set(map(id, paths))) == count  # a distinct path per fit
+    for bound, model in fits:  # each as a pathless fit gives it
+        args = {name: value for name, value in bound.arguments.items() if name != "path"}
+        assert fit_bits(svm.train_binary(**args)) == fit_bits(model)
