@@ -106,6 +106,7 @@ class _Main(click.Group):
 @click.group(cls=_Main, context_settings={"auto_envvar_prefix": "ENTROPIC", "show_default": True})
 def main() -> None:
     """Persistent-entropy features and SVM classification for 1-D signals."""
+    ds._keep_freed_heap()  # once per process, before the command allocates
 
 
 @main.command(params=[click.Argument(["inputs"], nargs=-1, required=True, type=click.Path()),
@@ -200,10 +201,7 @@ def kernels(exp_id, source, target_len, out_dir, seed, k, jobs, tol) -> None:
         "best": {"kernel": result.kernel.describe(), "C": result.C,
                  "mean_accuracy": result.mean_accuracy},
         "table": [list(row) for row in result.table],
-        # Each table row's binary fits over all folds: how many, their SMO
-        # pair updates, their largest final KKT gap and how many missed tol.
-        "cells": [{"fits": cv.fits, "iterations": cv.iterations, "kkt_gap": cv.kkt_gap,
-                   "unconverged": cv.unconverged} for cv in result.cells],
+        "cells": [svm.fit_roll_up([cv]) for cv in result.cells],  # each row's fits over all folds
         "config": {"seed": seed, "k": k, "target_len": target_len, "tol": tol},
     }
     _write(out_dir, "kernels.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -14,9 +14,10 @@ import math
 import operator
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,7 +184,7 @@ def _entropy_of_file(path: str, target_len: int) -> tuple[bool, float | str]:
 
 
 def _keep_freed_heap() -> None:
-    """Let glibc keep freed heap instead of trimming it, before a run of files.
+    """Let glibc keep freed heap instead of trimming it, from now on in this process.
 
     Nothing is kept alive between files, so by default glibc may give the
     top of the heap back to the kernel after each one and the next file
@@ -204,8 +205,7 @@ def _keep_freed_heap() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-@dataclass(frozen=True)
-class EntropyTableResult:
+class EntropyTableResult(NamedTuple):
     matrix: EntropyMatrix
     failures: tuple[tuple[str, str], ...]  # (path, error message)
 
@@ -349,16 +349,20 @@ class ExperimentConfig:
         return {**asdict(self), "kernel": effective_kernel.describe()}
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+_EMPTY: Mapping = MappingProxyType({})  # a default that no result can write into
+
+
+class ExperimentResult(NamedTuple):
     """Accuracies from one experiment run plus its reproducibility snapshot."""
 
     experiment: int
     kernel: str
     accuracies: dict[str, float]
     fold_accuracies: tuple[float, ...] = ()
-    pairwise: dict[tuple[str, str], float] = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
+    pairwise: Mapping[tuple[str, str], float] = _EMPTY
+    config: Mapping = _EMPTY
+    fits: Mapping = _EMPTY  # the run's binary fits, as svm.fit_roll_up rolls them up
+    pairwise_fits: Mapping[tuple[str, str], Mapping] = _EMPTY  # experiment 3's, per pair
 
     def to_json(self) -> str:
         doc = {
@@ -367,7 +371,9 @@ class ExperimentResult:
             "accuracies": self.accuracies,
             "fold_accuracies": list(self.fold_accuracies),
             "pairwise": {f"{a}|{b}": v for (a, b), v in sorted(self.pairwise.items())},
-            "config": self.config,
+            "config": dict(self.config),
+            "fits": dict(self.fits),
+            "pairwise_fits": {f"{a}|{b}": dict(v) for (a, b), v in sorted(self.pairwise_fits.items())},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -401,7 +407,7 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
     if exp_id == 1:
         folds = cv(points)
         return ExperimentResult(**head, accuracies={"cv_mean": folds.mean_accuracy},
-                                fold_accuracies=folds.fold_accuracies)
+                                fold_accuracies=folds.fold_accuracies, fits=svm.fit_roll_up([folds]))
     if exp_id == 2:
         n_train = max(1, round(len(points) * 2 / 3))
         train_idx, test_idx = svm.stratified_split(labels, n_train, config.seed)
@@ -410,13 +416,14 @@ def run_experiment(exp_id: int, m: EntropyMatrix, config: ExperimentConfig = Exp
         predicted = model.predict(X)  # each row's prediction does not depend on the other rows
         acc = {name: svm.accuracy([predicted[i] for i in idx], [labels[i] for i in idx])
                for name, idx in (("train", train_idx), ("test", test_idx), ("full", range(len(labels))))}
-        return ExperimentResult(**head, accuracies=acc)
-    pairwise: dict[tuple[str, str], float] = {}
-    for a, b in itertools.combinations(NON_NEUTRAL, 2):
-        subset = [p for p in points if p.label in (a, b)]
-        pairwise[(a, b)] = cv(subset).mean_accuracy
+        return ExperimentResult(**head, accuracies=acc, fits=svm.fit_roll_up(model.models))
+    pairs = {(a, b): cv([p for p in points if p.label in (a, b)])
+             for a, b in itertools.combinations(NON_NEUTRAL, 2)}
+    pairwise = {pair: result.mean_accuracy for pair, result in pairs.items()}
     mean_acc = float(np.mean(list(pairwise.values())))
-    return ExperimentResult(**head, accuracies={"pairwise_mean": mean_acc}, pairwise=pairwise)
+    return ExperimentResult(**head, accuracies={"pairwise_mean": mean_acc}, pairwise=pairwise,
+                            fits=svm.fit_roll_up(list(pairs.values())),
+                            pairwise_fits={pair: svm.fit_roll_up([result]) for pair, result in pairs.items()})
 
 
 def pairwise_table_csv(pairwise: dict[tuple[str, str], float]) -> str:

@@ -135,8 +135,7 @@ def sex_grouped_correlation_means(
     return out
 
 
-@dataclass(frozen=True)
-class BoxplotSummary:
+class BoxplotSummary(NamedTuple):
     """Five-number summary plus mean and Tukey-fence outliers."""
 
     minimum: float

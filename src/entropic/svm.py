@@ -168,8 +168,7 @@ def _set_up(data: Sequence[LabeledPoint], kernel: KernelSpec) -> _Problem:
     return _Problem((neg, pos), X, y, K, list(np.ascontiguousarray(K.T)), K.diagonal().tolist())
 
 
-@dataclass(frozen=True)
-class SvmModel:
+class SvmModel(NamedTuple):
     """Trained binary classifier separating class_pair[0] (sign -) from class_pair[1] (sign +)."""
 
     support_vectors: np.ndarray
@@ -317,8 +316,7 @@ def train_binary(
     )
 
 
-@dataclass(frozen=True)
-class MulticlassModel:
+class MulticlassModel(NamedTuple):
     """One-vs-one ensemble: one binary model per unordered class pair."""
 
     classes: tuple
@@ -387,8 +385,7 @@ def accuracy(predicted: Sequence, truth: Sequence) -> float:
     return hits / len(truth)
 
 
-@dataclass(frozen=True)
-class CvResult:
+class CvResult(NamedTuple):
     """Per-fold accuracies from k-fold cross-validation, and how its binary fits converged."""
 
     fold_accuracies: tuple[float, ...]
@@ -397,6 +394,17 @@ class CvResult:
     iterations: int  # their SMO pair updates, summed
     kkt_gap: float  # their largest final KKT gap
     unconverged: int  # fits that stopped with a KKT gap above tol
+
+
+def fit_roll_up(fits: Sequence[SvmModel | CvResult]) -> dict:
+    """How some binary fits ended, as CvResult and every result JSON hold it:
+    how many, their SMO pair updates summed, their largest final KKT gap and
+    how many stopped with a gap above tol. A CvResult stands for its folds' fits."""
+    parts = [(f.fits, f.iterations, f.kkt_gap, f.unconverged) if isinstance(f, CvResult)
+             else (1, f.iterations, f.kkt_gap, int(not f.converged)) for f in fits]
+    counts, iterations, gaps, unconverged = zip(*parts)
+    return {"fits": sum(counts), "iterations": sum(iterations), "kkt_gap": max(gaps),
+            "unconverged": sum(unconverged)}
 
 
 def _rng(seed) -> random.Random:
@@ -485,28 +493,20 @@ def _cv_path(data: Sequence[LabeledPoint], kernel: KernelSpec, Cs: Sequence[floa
     """k-fold CV of every C, on the same folds; each fold's models are fitted along Cs."""
     X, labels = _stack(data)
     folds = stratified_folds(labels, k, seed)
-    accs: list[list[float]] = [[] for _ in Cs]
-    # (iterations, kkt_gap, converged) of each fit; the models themselves would
-    # keep every fold's ensembles in memory.
-    fits: list[list[tuple]] = [[] for _ in Cs]
+    # Each C's result on each fold, its models rolled up; the models themselves
+    # would keep every fold's ensembles in memory.
+    by_fold: list[list[CvResult]] = [[] for _ in Cs]
     for fold in folds:
         held = set(fold.tolist())
         train_pts = [p for i, p in enumerate(data) if i not in held]
         truth = [labels[i] for i in fold]
         for c, model in enumerate(_one_vs_one_path(train_pts, kernel, Cs, tol)):
-            accs[c].append(accuracy(model.predict(X[fold]), truth))
-            fits[c] += [(m.iterations, m.kkt_gap, m.converged) for m in model.models]
+            acc = accuracy(model.predict(X[fold]), truth)
+            by_fold[c].append(CvResult((acc,), acc, **fit_roll_up(model.models)))
     results = []
-    for a, fit in zip(accs, fits):
-        iterations, gaps, converged = zip(*fit)
-        results.append(CvResult(
-            fold_accuracies=tuple(a),
-            mean_accuracy=float(np.mean(a)),
-            fits=len(fit),
-            iterations=sum(iterations),
-            kkt_gap=max(gaps),
-            unconverged=converged.count(False),
-        ))
+    for per_fold in by_fold:
+        accs = tuple(r.mean_accuracy for r in per_fold)
+        results.append(CvResult(accs, float(np.mean(accs)), **fit_roll_up(per_fold)))
     return results
 
 
@@ -541,8 +541,7 @@ def default_kernel_grid(X: np.ndarray) -> list[KernelSpec]:
 DEFAULT_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
 
-@dataclass(frozen=True)
-class GridSearchResult:
+class GridSearchResult(NamedTuple):
     """Outcome of an exhaustive kernel/C grid search."""
 
     kernel: KernelSpec

@@ -19,6 +19,7 @@ from click.testing import CliRunner
 import entropic
 from conftest import make_matrix
 from entropic import dataset as ds
+from entropic import svm
 from entropic.cli import main
 from entropic.dataset import (
     EMOTIONS,
@@ -240,6 +241,32 @@ class TestExperimentCommand:
         doc = json.loads((out / "experiment3.json").read_text())
         assert len(doc["pairwise"]) == 21
 
+    @pytest.mark.parametrize("exp_id,fits", [(1, 3 * 28), (2, 28), (3, 21 * 3)])
+    def test_json_rolls_up_the_fits(self, runner, table_csv, tmp_path, exp_id, fits):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", str(exp_id), str(table_csv), "--k", "3",
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads((out / f"experiment{exp_id}.json").read_text())
+        assert set(doc["fits"]) == {"fits", "iterations", "kkt_gap", "unconverged"}
+        assert doc["fits"]["fits"] == fits and doc["fits"]["iterations"] > 0
+        assert doc["fits"]["kkt_gap"] <= 1e-3 or doc["fits"]["unconverged"] > 0
+        pairs = doc["pairwise_fits"]
+        assert sorted(pairs) == sorted(doc["pairwise"])
+        if exp_id == 3:  # one roll-up per pair, three folds each, and their total
+            assert {cell["fits"] for cell in pairs.values()} == {3}
+            for key in ("fits", "iterations", "unconverged"):
+                assert doc["fits"][key] == sum(cell[key] for cell in pairs.values())
+            assert doc["fits"]["kkt_gap"] == max(cell["kkt_gap"] for cell in pairs.values())
+
+    def test_fits_stopped_at_the_cap_are_counted_not_warned(self, runner, table_csv, monkeypatch):
+        monkeypatch.setattr(svm, "_MAX_ITER", 1)
+        result = runner.invoke(main, ["experiment", "2", str(table_csv)])
+        assert result.exit_code == 0 and result.stderr == ""
+        fits = json.loads(result.stdout)["fits"]
+        assert (fits["fits"], fits["iterations"], fits["unconverged"]) == (28, 28, 28)
+        assert fits["kkt_gap"] > 1e-3
+
     def test_deterministic_outputs(self, runner, table_csv, tmp_path):
         outs = []
         for name in ("o1", "o2"):
@@ -267,6 +294,17 @@ class TestExperimentCommand:
         assert "Error: Invalid value for '--" in result.output and "finite" in result.output
         assert "Traceback" not in result.output
         assert not (tmp_path / "out").exists()
+
+
+def test_each_command_keeps_freed_heap_from_its_start(runner, table_csv, sig_csv, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ds, "_keep_freed_heap", lambda: calls.append(len(calls)))
+    assert runner.invoke(main, ["--help"]).exit_code == 0 and calls == []
+    for args in (["stats", table_csv], ["entropy", sig_csv], ["experiment", "2", table_csv]):
+        calls.clear()
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+        assert calls == [0]
 
 
 class TestStatsCommand:

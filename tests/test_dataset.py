@@ -605,9 +605,16 @@ def reference_snapshot(config: ExperimentConfig, effective_kernel: KernelSpec) -
     }
 
 
+def reference_roll_up(fits, iterations, gaps, unconverged) -> dict:
+    """The fit roll-up of a result JSON, from its four figures per fit or per CV."""
+    return {"fits": sum(fits), "iterations": sum(iterations), "kkt_gap": max(gaps),
+            "unconverged": sum(unconverged)}
+
+
 def reference_run_experiment(exp_id, m, config=ExperimentConfig()) -> ExperimentResult:
     """run_experiment as it was before experiment_points, with one branch per
-    experiment that picks its builder, default kernel and result head."""
+    experiment that picks its builder, default kernel and result head, and
+    rolls up its fits from the CV results' or the models' own figures."""
     if exp_id == 1:
         points = build_experiment1(m)
         kernel = config.kernel or svm.KernelSpec("linear")
@@ -620,6 +627,7 @@ def reference_run_experiment(exp_id, m, config=ExperimentConfig()) -> Experiment
             accuracies={"cv_mean": cv.mean_accuracy},
             fold_accuracies=cv.fold_accuracies,
             config=config.snapshot(kernel),
+            fits=reference_roll_up([cv.fits], [cv.iterations], [cv.kkt_gap], [cv.unconverged]),
         )
 
     if exp_id == 2:
@@ -643,18 +651,23 @@ def reference_run_experiment(exp_id, m, config=ExperimentConfig()) -> Experiment
             kernel=kernel.describe(),
             accuracies=acc,
             config=config.snapshot(kernel),
+            fits=reference_roll_up([1] * len(model.models), [mo.iterations for mo in model.models],
+                                   [mo.kkt_gap for mo in model.models],
+                                   [not mo.converged for mo in model.models]),
         )
 
     if exp_id == 3:
         points = build_experiment3(m)
         kernel = config.kernel or svm.KernelSpec("polynomial")
         pairwise: dict[tuple[str, str], float] = {}
+        cvs = {}
         for a, b in itertools.combinations(NON_NEUTRAL, 2):
             subset = [p for p in points if p.label in (a, b)]
             cv = svm.kfold_cross_validate(
                 subset, kernel, C=config.C, tol=config.tol, k=config.k, seed=config.seed
             )
             pairwise[(a, b)] = cv.mean_accuracy
+            cvs[(a, b)] = cv
         mean_acc = float(np.mean(list(pairwise.values())))
         return ExperimentResult(
             experiment=3,
@@ -662,6 +675,10 @@ def reference_run_experiment(exp_id, m, config=ExperimentConfig()) -> Experiment
             accuracies={"pairwise_mean": mean_acc},
             pairwise=pairwise,
             config=config.snapshot(kernel),
+            fits=reference_roll_up(*zip(*((cv.fits, cv.iterations, cv.kkt_gap, cv.unconverged)
+                                          for cv in cvs.values()))),
+            pairwise_fits={pair: reference_roll_up([cv.fits], [cv.iterations], [cv.kkt_gap],
+                                                   [cv.unconverged]) for pair, cv in cvs.items()},
         )
 
     raise DatasetError(f"unknown experiment id: {exp_id}")

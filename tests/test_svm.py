@@ -557,7 +557,7 @@ class TestWarmStart:
 
     def test_solver_state_is_kept_out_of_repr_and_equality(self):
         # Out of the model altogether: it holds what prediction needs, and its training record.
-        assert [f.name for f in dataclasses.fields(SvmModel)] == [
+        assert list(SvmModel._fields) == [
             "support_vectors", "alpha", "bias", "kernel", "class_pair", "iterations", "kkt_gap", "converged"]
 
 
@@ -849,6 +849,20 @@ class TestKfold:
             kfold_cross_validate(TWO_POINTS, KernelSpec("linear"), k=1)
 
 
+class TestFitRollUp:
+    def test_models_and_cv_results_add_up(self):
+        no_points = np.zeros((0, 1))
+        done, capped = (SvmModel(no_points, no_points[:, 0], 0.0, KernelSpec("linear"), ("a", "b"),
+                                 iterations=it, kkt_gap=gap, converged=ok)
+                        for it, gap, ok in ((5, 1e-4, True), (7, 0.5, False)))
+        cv = svm.CvResult((1.0, 0.5), 0.75, 4, 100, 0.25, 1)
+        assert svm.fit_roll_up([done, capped]) == {"fits": 2, "iterations": 12, "kkt_gap": 0.5,
+                                                   "unconverged": 1}
+        assert svm.fit_roll_up([cv, done]) == {"fits": 5, "iterations": 105, "kkt_gap": 0.25,
+                                               "unconverged": 1}
+        assert svm.fit_roll_up([cv]) == {"fits": 4, "iterations": 100, "kkt_gap": 0.25, "unconverged": 1}
+
+
 class TestSelectBestKernel:
     def test_xor_prefers_polynomial(self):
         rng = np.random.default_rng(11)
@@ -911,7 +925,7 @@ class TestSelectBestKernel:
 
         def flag_capped(data, kernel, *args, **kwargs):
             model = trained(data, kernel, *args, **kwargs)
-            return dataclasses.replace(model, converged=False) if kernel.family in capped else model
+            return model._replace(converged=False) if kernel.family in capped else model
 
         monkeypatch.setattr(svm, "train_binary", flag_capped)
         capped.add("polynomial")
@@ -1272,7 +1286,7 @@ class TestVoteMatchesReference:
         rng = np.random.default_rng(31)
         for _ in range(200):
             model, X = random_vote_models(rng)
-            model = dataclasses.replace(model, models=tuple(
+            model = model._replace(models=tuple(
                 FixedValues(m.class_pair, rng.normal(size=X.shape[0]) * 10.0 ** rng.integers(-3, 4))
                 for m in model.models))
             assert model.predict(X) == reference_predict(model, X)

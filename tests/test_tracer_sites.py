@@ -6,18 +6,23 @@ refactor that renames a function, or drops an import a site names (say
 `entropic.cli.load_wav`), would otherwise break `run.py --trace 1` only. The
 trace also counts the calls to `entropic.svm.train_binary` and recomputes each
 fit's KKT gap from its `data`, so every binary fit must be such a call; a
-warm fit is one that is handed its class pair's path.
+warm fit is one that is handed its class pair's path. Its other observers
+read the results of the sites they wrap (`len(result.failures)`, the
+barcode's length), so those must keep what they read.
 """
 
 import importlib
 import importlib.util
 import math
+import wave
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import make_blobs
-from entropic import svm
+from entropic import dataset, persistence, svm
+from entropic.signal import Signal, load_wav
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -108,3 +113,29 @@ def test_single_C_fits_are_cold_traced_train_binary_calls(call, count):
     for bound, model in fits:  # each as a pathless fit gives it
         args = {name: value for name, value in bound.arguments.items() if name != "path"}
         assert fit_bits(svm.train_binary(**args)) == fit_bits(model)
+
+
+def test_observers_count_what_the_sites_return(tmp_path):
+    actor = tmp_path / "Actor_01"
+    actor.mkdir()
+    good, bad = actor / "03-01-05-01-01-01-01.wav", actor / "03-01-05-01-01-02-01.wav"
+    with wave.open(str(good), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(8000)
+        wf.writeframes(np.random.default_rng(5).integers(-3000, 3000, 3000).astype("<i2").tobytes())
+    bad.write_bytes(b"RIFF not a wave file")
+    short = Signal(np.sin(np.arange(50.0)))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        table = dataset.build_entropy_table(dataset.scan_ravdess_tree(tmp_path), target_len=1000)
+        barcode = persistence.signal_barcode(short)
+    finally:
+        tracer.uninstall()
+    assert len(table.failures) == 1 and table.failures[0][0] == str(bad)
+    good_bars = len(persistence.signal_barcode(load_wav(str(good), 1000), 1000))
+    assert tracer.counters["entropy_table_failures"] == 1
+    assert tracer.counters["load_wav_bytes"] == good.stat().st_size  # the bad file's load raised
+    assert tracer.counters["barcode_samples"] == 1000 + len(short)
+    assert tracer.counters["bars"] == good_bars + len(barcode)
